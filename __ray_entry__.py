@@ -718,16 +718,12 @@ def _q_corpus_assembly(sf_dir: str):
                                 zero_copy_batch=True)
     from org_dharts_dia_tesseract_ray.util import grouped_arrow_aggregate
     winners = grouped_arrow_aggregate(
-        slim, "digest", [("doc_id", "min", "doc_id"),
-                         ("n_tokens", "min", "n_tokens")])
-
-    pinned = pa.schema([("doc_id", pa.int64()), ("n_tokens", pa.int64())])
+        (slim, pa.schema([("digest", pa.int64()), ("doc_id", pa.int64()),
+                          ("n_tokens", pa.int64())])),
+        "digest", [("doc_id", "min", "doc_id"),
+                   ("n_tokens", "min", "n_tokens")])
 
     def pin(b: pa.Table) -> pa.Table:
-        # groupby outputs lose their schema on empty hash partitions —
-        # pack_sequences' id pass would KeyError on them
-        if b.num_rows == 0 or "doc_id" not in b.column_names:
-            return pinned.empty_table()
         return b.select(["doc_id", "n_tokens"])
 
     # materialize the slim (doc_id, n_tokens) winners: pack_sequences
@@ -1620,9 +1616,10 @@ def _q_customer_order_counts(sf_dir: str):
 
     from org_dharts_dia_tesseract_ray.util import count_combiner
     counts = grouped_arrow_aggregate(
-        _read(sf_dir, "orders", ["o_custkey"])
-        .map_batches(count_combiner("o_custkey"), batch_format="pyarrow",
-                     zero_copy_batch=True),
+        (_read(sf_dir, "orders", ["o_custkey"])
+         .map_batches(count_combiner("o_custkey"), batch_format="pyarrow",
+                      zero_copy_batch=True),
+         pa.schema([("o_custkey", pa.int64()), ("__n", pa.int64())])),
         "o_custkey", [("__n", "sum", "n_orders")])
 
     def rename(b: pa.Table) -> pa.Table:
@@ -1697,10 +1694,11 @@ def _q_urgent_spend_right_customer(sf_dir: str):
                          "__c": g["__c_sum"].cast(pa.int64())})
 
     spend = grouped_arrow_aggregate(
-        _read(sf_dir, "orders",
-              ["o_custkey", "o_orderpriority", "o_totalprice"])
-        .map_batches(partial_spend, batch_format="pyarrow",
-                     zero_copy_batch=True),
+        (_read(sf_dir, "orders",
+               ["o_custkey", "o_orderpriority", "o_totalprice"])
+         .map_batches(partial_spend, batch_format="pyarrow",
+                      zero_copy_batch=True),
+         pa.schema([("c_custkey", pa.int64()), ("__c", pa.int64())])),
         "c_custkey", [("__c", "sum", "urgent_cents")])
     return schema_pinned_join(
         spend, cust, on=("c_custkey",),
@@ -1875,11 +1873,12 @@ def _q_customer_activity_shift(sf_dir: str):
         from org_dharts_dia_tesseract_ray.util import (
             count_combiner, grouped_arrow_aggregate)
         return grouped_arrow_aggregate(
-            _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-            .map_batches(prep, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .map_batches(count_combiner("o_custkey"),
-                         batch_format="pyarrow", zero_copy_batch=True),
+            (_read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
+             .map_batches(prep, batch_format="pyarrow",
+                          zero_copy_batch=True)
+             .map_batches(count_combiner("o_custkey"),
+                          batch_format="pyarrow", zero_copy_batch=True),
+             pa.schema([("o_custkey", pa.int64()), ("__n", pa.int64())])),
             "o_custkey", [("__n", "sum", out_name)])
 
     early = side(None, datetime.datetime(1996, 1, 1), "n_early")

@@ -13,7 +13,7 @@ Shape (the repo's standard high-cardinality reduction, cf.
    key is contained in the union of per-batch first-K per key, so each
    block forwards ≤ K rows per key it has seen — the combiner that keeps
    the shuffle proportional to ``K × distinct_keys``, not corpus size;
-2. ONE hash-partition shuffle on ``hash(key) % P``;
+2. ONE hash exchange on ``hash(key) % P`` (``util.hash_exchange``);
 3. one vectorized pass per partition handling all of its keys (Python call
    count stays P regardless of key cardinality).
 
@@ -27,8 +27,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import (as_array, default_num_partitions, key_change_mask,
-                    partition_ids)
+from ..util import (as_array, exchange_side, hash_exchange, key_change_mask,
+                    mapped_side)
 
 #: scheme://host — host stops at port, path, query or fragment.  Same
 #: grammar family as urls._PARTS; DuckDB shares RE2 so the SQL oracle is
@@ -58,25 +58,19 @@ def first_k_per_key(t: pa.Table, key: str, order_by: list,
 
 def top_k_per_key(ds, *, key_col: str, order_by: list, k: int,
                   num_partitions: int | None = None):
-    """Distributed first-K-rows-per-key selection (deterministic order)."""
-    P = num_partitions or default_num_partitions()
+    """Distributed first-K-rows-per-key selection (deterministic order).
+    ``ds``: a Dataset or a ``(dataset, schema)`` pair
+    (``util.exchange_side``)."""
+    def reduce(t: pa.Table) -> pa.Table:
+        return first_k_per_key(t, key_col, order_by, k)
 
-    def combine(b: pa.Table) -> pa.Table:
-        return first_k_per_key(b, key_col, order_by, k)
-
-    def add_part(b: pa.Table) -> pa.Table:
-        return b.append_column("__part", partition_ids(b[key_col], P))
-
-    def reduce_part(g: pa.Table) -> pa.Table:
-        return first_k_per_key(g.drop_columns(["__part"]),
-                               key_col, order_by, k)
-
-    return (ds.map_batches(combine, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(add_part, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("__part").map_groups(reduce_part,
-                                          batch_format="pyarrow"))
+    ds, schema = exchange_side(ds)
+    # the kernel is its own combiner: the global first K of a key lie in
+    # the union of every batch's first K
+    return hash_exchange(
+        [(ds.map_batches(reduce, batch_format="pyarrow",
+                         zero_copy_batch=True), schema)],
+        key_col, reduce, schema, num_partitions=num_partitions)
 
 
 def first_budget_per_key(t: pa.Table, key: str, order_by: list,
@@ -168,25 +162,17 @@ def budget_cap_per_key(ds, *, key_col: str, order_by: list,
     at the cutoff are kept nondeterministically.  The weight column is
     widened to int64 in the output.
     """
-    P = num_partitions or default_num_partitions()
-
     def combine(b: pa.Table) -> pa.Table:
         return first_budget_per_key(b, key_col, order_by, weight_col,
                                     budget, with_summaries=True)
 
-    def add_part(b: pa.Table) -> pa.Table:
-        return b.append_column("__part", partition_ids(b[key_col], P))
+    def reduce(t: pa.Table) -> pa.Table:
+        return first_budget_per_key(t, key_col, order_by, weight_col,
+                                    budget)
 
-    def reduce_part(g: pa.Table) -> pa.Table:
-        return first_budget_per_key(g.drop_columns(["__part"]), key_col,
-                                    order_by, weight_col, budget)
-
-    return (ds.map_batches(combine, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .map_batches(add_part, batch_format="pyarrow",
-                         zero_copy_batch=True)
-            .groupby("__part").map_groups(reduce_part,
-                                          batch_format="pyarrow"))
+    combined, schema = mapped_side(ds, combine)
+    return hash_exchange([(combined, schema)], key_col, reduce, schema,
+                         num_partitions=num_partitions)
 
 
 def add_domain_batch(batch: pa.Table, *, url_col: str = "url",
@@ -203,11 +189,12 @@ def domain_cap(ds, *, url_col: str = "url", order_by: list, k: int,
                num_partitions: int | None = None):
     """Cap the dataset at ``k`` rows per url host, survivors chosen by
     ``order_by`` — appends a ``domain`` column the caller may drop."""
-    with_domain = ds.map_batches(
-        lambda b: add_domain_batch(b, url_col=url_col),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return top_k_per_key(with_domain, key_col="domain", order_by=order_by,
-                         k=k, num_partitions=num_partitions)
+    def add_domain(b: pa.Table) -> pa.Table:
+        return add_domain_batch(b, url_col=url_col)
+
+    return top_k_per_key(mapped_side(ds, add_domain), key_col="domain",
+                         order_by=order_by, k=k,
+                         num_partitions=num_partitions)
 
 
 def domain_sql_expr(col: str) -> str:

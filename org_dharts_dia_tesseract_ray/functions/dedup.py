@@ -30,7 +30,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import (as_array, ds_arrow_schema, ragged_arange,
+from ..util import (as_array, ds_arrow_schema, grouped_arrow_aggregate,
+                    hash_exchange, mapped_side, ragged_arange,
                     schema_pinned_join)
 from .fingerprint import kgram_hashes, kgram_hashes_batch, md5_batch
 
@@ -78,13 +79,13 @@ def exact_dedup(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     is the 32-char digest and the reducer is ONE vectorized Arrow min per
     hash partition (``util.grouped_arrow_aggregate`` — NOT per-group
     ``map_groups``, one Python call per group would dominate wall time at
-    10^12 groups; and not Ray's native sort-aggregate, ~76 µs/row)."""
-    from ..util import grouped_arrow_aggregate
+    10^12 groups; and not Ray's native sort-aggregate, ~76 µs/row).
+    Output ``(fp: string, id)`` — also on empty input."""
+    def digest(b: pa.Table) -> pa.Table:
+        return md5_batch(b, text_col=text_col, id_col=id_col)
 
-    fps = ds.map_batches(
-        lambda b: md5_batch(b, text_col=text_col, id_col=id_col),
-        batch_format="pyarrow", zero_copy_batch=True)
-    return grouped_arrow_aggregate(fps, "fp", [(id_col, "min", id_col)])
+    return grouped_arrow_aggregate(mapped_side(ds, digest), "fp",
+                                   [(id_col, "min", id_col)])
 
 
 def exact_dedup_sql(table: str = "documents", text_col: str = "text",
@@ -251,15 +252,14 @@ def _self_join_pairs(band_ds, keys: list[str], carry: list[str],
     A self-join needs no left/right branch of the input Dataset — Ray Data
     re-executes a shared sub-DAG once PER CONSUMER, so the former
     two-branch form recomputed the whole upstream (read + signatures)
-    twice.  Here the stream is consumed ONCE: ``__part = hash(keys) % P``
-    co-locates every bucket, and each partition self-joins locally with
-    Acero (vectorized, not per-bucket map_groups — most buckets are
-    singletons and one Python call per singleton dominates at corpus
-    scale).  Empty shuffle partitions are harmless by construction.
-    ``types`` maps key/carry columns and ``id_col`` to their Arrow types
-    (to build output schemas without executing the input)."""
-    from ..util import partition_ids
-
+    twice.  Here the stream is consumed ONCE: one hash exchange on the
+    bucket key co-locates every bucket, and each partition self-joins
+    locally with Acero (vectorized, not per-bucket map_groups — most
+    buckets are singletons and one Python call per singleton dominates at
+    corpus scale).  ``types`` maps key/carry columns and ``id_col`` to
+    their Arrow types (to build output schemas without executing the
+    input)."""
+    sel = list(keys) + [id_col] + list(carry)
     out_schema = pa.schema(
         [(k, types[k]) for k in keys]
         + [("id_a", types[id_col])]
@@ -268,16 +268,9 @@ def _self_join_pairs(band_ds, keys: list[str], carry: list[str],
         + [(c + "_b", types[c]) for c in carry])
     out_names = out_schema.names
 
-    def add_part(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "__part", partition_ids(b[keys[0]], num_partitions,
-                                    extra_cols=[b[k] for k in keys[1:]]))
-
     def merge(part: pa.Table) -> pa.Table:
-        part = part.drop_columns(["__part"])
         if part.num_rows < 2:
             return out_schema.empty_table()
-        sel = list(keys) + [id_col] + list(carry)
         lt = part.select(sel).rename_columns(
             list(keys) + ["id_a"] + [c + "_a" for c in carry])
         rt = part.select(sel).rename_columns(
@@ -287,10 +280,9 @@ def _self_join_pairs(band_ds, keys: list[str], carry: list[str],
         out = out.filter(pc.less(out["id_a"], out["id_b"]))
         return out.select(out_names)
 
-    parted = band_ds.map_batches(add_part, batch_format="pyarrow",
-                                 zero_copy_batch=True)
-    return parted.groupby("__part").map_groups(merge,
-                                               batch_format="pyarrow")
+    side = pa.schema([(c, types[c]) for c in sel])
+    return hash_exchange([(band_ds, side)], keys, merge, out_schema,
+                         num_partitions=num_partitions)
 
 
 def jaccard(x: np.ndarray, y: np.ndarray) -> float:
@@ -371,42 +363,20 @@ def _verify_jaccard_pairs(cand, shing, *, id_col, id_type,
        rare relative to the corpus (run exact dedup first — standard
        web-dedup staging).
     """
-    from ..util import partition_ids
-
     def explode(b: pa.Table) -> pa.Table:
         ids = pa.concat_arrays([as_array(b["id_a"]), as_array(b["id_b"])])
         id_a = pa.concat_arrays([as_array(b["id_a"]), as_array(b["id_a"])])
         id_b = pa.concat_arrays([as_array(b["id_b"]), as_array(b["id_b"])])
-        n2 = len(ids)
-        return pa.table({
-            "mkey": ids, "id_a": id_a, "id_b": id_b,
-            "blob": pa.nulls(n2, pa.binary()),
-            "__side": pa.array(np.zeros(n2, np.int8)),
-            "__part": partition_ids(ids, num_partitions),
-        })
+        return pa.table({"mkey": ids, "id_a": id_a, "id_b": id_b})
 
     def shing_rows(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table({
-            "mkey": b[id_col], "id_a": pa.nulls(n, id_type),
-            "id_b": pa.nulls(n, id_type), "blob": b["shingles"],
-            "__side": pa.array(np.ones(n, np.int8)),
-            "__part": partition_ids(b[id_col], num_partitions),
-        })
-
-    unioned = (cand.map_batches(explode, batch_format="pyarrow",
-                                zero_copy_batch=True)
-               .union(shing.map_batches(shing_rows, batch_format="pyarrow",
-                                        zero_copy_batch=True)))
+        return pa.table({"mkey": b[id_col], "blob": b["shingles"]})
 
     attach_schema = pa.schema([
         ("id_a", id_type), ("id_b", id_type), ("slot", pa.int8()),
-        ("blob", pa.binary()), ("__part2", pa.int32())])
+        ("blob", pa.binary())])
 
-    def attach(part: pa.Table) -> pa.Table:
-        side = np.asarray(part["__side"])
-        s0 = part.filter(pa.array(side == 0))
-        s1 = part.filter(pa.array(side == 1))
+    def attach(s0: pa.Table, s1: pa.Table) -> pa.Table:
         if s0.num_rows == 0 or s1.num_rows == 0:
             return attach_schema.empty_table()
         k1 = np.asarray(as_array(s1["mkey"]))
@@ -417,25 +387,26 @@ def _verify_jaccard_pairs(cand, shing, *, id_col, id_type,
         # construction (same id -> same hash partition)
         blobs = as_array(s1["blob"]).take(pa.array(order[pos], pa.int64()))
         slot = (k0 != np.asarray(as_array(s0["id_a"]))).astype(np.int8)
-        t = pa.table({
+        return pa.table({
             "id_a": s0["id_a"], "id_b": s0["id_b"],
             "slot": pa.array(slot), "blob": blobs})
-        return t.append_column(
-            "__part2", partition_ids(t["id_a"], num_partitions,
-                                     extra_cols=[t["id_b"]]))
 
-    attached = unioned.groupby("__part").map_groups(attach,
-                                                    batch_format="pyarrow")
+    attached = hash_exchange(
+        [(cand.map_batches(explode, batch_format="pyarrow",
+                           zero_copy_batch=True),
+          pa.schema([("mkey", id_type), ("id_a", id_type),
+                     ("id_b", id_type)])),
+         (shing.map_batches(shing_rows, batch_format="pyarrow",
+                            zero_copy_batch=True),
+          pa.schema([("mkey", id_type), ("blob", pa.binary())]))],
+        "mkey", attach, attach_schema, num_partitions=num_partitions)
 
     out_schema = pa.schema([("id_a", id_type), ("id_b", id_type),
                             ("jaccard", pa.float64())])
 
     def pair_merge(part: pa.Table) -> pa.Table:
-        part = part.drop_columns(["__part2"]).sort_by(
-            [("id_a", "ascending"), ("id_b", "ascending"),
-             ("slot", "ascending")])
-        if part.num_rows == 0:
-            return out_schema.empty_table()
+        part = part.sort_by([("id_a", "ascending"), ("id_b", "ascending"),
+                             ("slot", "ascending")])
         # collapse band-duplicate candidates: keep the first row of each
         # (id_a, id_b, slot) run — vectorized adjacent-compare
         a = np.asarray(as_array(part["id_a"]))
@@ -464,8 +435,9 @@ def _verify_jaccard_pairs(cand, shing, *, id_col, id_type,
                          "id_b": pa.array(ids_b, id_type),
                          "jaccard": pa.array(js, pa.float64())})
 
-    return attached.groupby("__part2").map_groups(pair_merge,
-                                                  batch_format="pyarrow")
+    return hash_exchange([(attached, attach_schema)], ["id_a", "id_b"],
+                         pair_merge, out_schema,
+                         num_partitions=num_partitions)
 
 
 # ---------------------------------------------------------------------------
@@ -731,12 +703,11 @@ def neardup_clusters(ids_ds, pairs_ds, *, id_col: str = "doc_id",
     # TWICE per round (join probe + union), so a lazy plan re-executes all
     # prior rounds exponentially.  The materialized state is one slim row
     # per node, held distributed in the object store, never on the driver.
-    from ..util import grouped_arrow_aggregate
-
     sym = sym.materialize()
     labels = labels.materialize()
     prev_sum = None
     i64 = pa.int64()
+    node_labels = pa.schema([("node", i64), ("label", i64)])
     for _ in range(rounds):
         prop = schema_pinned_join(
             sym,
@@ -749,10 +720,14 @@ def neardup_clusters(ids_ds, pairs_ds, *, id_col: str = "doc_id",
         prop_labels = prop.map_batches(
             lambda b: pa.table({"node": b["dst"], "label": b["label"]}),
             batch_format="pyarrow", zero_copy_batch=True)
+        # a sort exchange emits as many blocks as it reads, so the
+        # re-fed labels would double their block count (and the next
+        # round's task count) every round — repartition bounds it
         labels = grouped_arrow_aggregate(
-            labels.union(prop_labels), "node",
+            (labels.union(prop_labels), node_labels), "node",
             [("label", "min", "label")],
-            num_partitions=num_partitions).materialize()
+            num_partitions=num_partitions
+        ).repartition(num_partitions).materialize()
         # convergence: labels only ever DECREASE (Min), so the label total
         # is strictly monotone while anything changes — an unchanged sum
         # means a fixed point, and further rounds are pure shuffle cost

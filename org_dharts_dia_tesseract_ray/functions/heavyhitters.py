@@ -83,20 +83,16 @@ def heavy_hitters(ds, k: int = 20, *, capacity: int = 4096,
                            "partial": pa.array([t], pa.int64())})])
         return out
 
-    from ..util import grouped_arrow_aggregate
-    totals = grouped_arrow_aggregate(
-        ds.map_batches(summary, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        "token", [("partial", "sum", "n")])
+    from ..util import grouped_arrow_aggregate, mapped_side
+    totals = grouped_arrow_aggregate(mapped_side(ds, summary), "token",
+                                     [("partial", "sum", "n")])
 
     out_schema = pa.schema([("token", pa.string()), ("n", pa.int64()),
                             ("err_bound", pa.int64())])
 
     def split_err(b: pa.Table) -> pa.Table:
         import pyarrow.compute as pc
-        # groupby outputs lose their schema on empty hash partitions (the
-        # schema_pinned_join hazard) — emit a typed empty table instead
-        if b.num_rows == 0 or "token" not in b.column_names:
+        if b.num_rows == 0:
             return out_schema.empty_table()
         is_err = pc.equal(b["token"], _ERR_TOKEN)
         err = pc.sum(b["n"].filter(is_err)).as_py() or 0

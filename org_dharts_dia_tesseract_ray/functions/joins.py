@@ -8,9 +8,9 @@ the count of left rows inside it (range-count).
 
 Plan shape — hash-partition + per-partition vectorized merge:
 
-1. both sides are slimmed, schema-aligned and tagged, then hash-shuffled
-   ONCE together by ``__part = hash(key) % P`` (``groupby(__part)``) — the
-   union rides one shuffle, not two;
+1. both sides are slimmed and co-shuffled ONCE together on
+   ``hash(key) % P`` (``util.hash_exchange``) — the union rides one
+   shuffle, not two;
 2. each PARTITION (not each key!) is merged by a single numpy pass over all
    of its keys at once — sort by (key, ts) then boundary-aware
    forward-fill / rank-composite searchsorted.  Python call count = P,
@@ -34,7 +34,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import default_num_partitions, key_change_mask, partition_ids
+from ..util import as_array, ds_arrow_schema, hash_exchange, key_change_mask
 
 
 def broadcast_lookup(ds, dim_ds, *, key: str, dim_key: str,
@@ -101,61 +101,40 @@ def range_join_count(left_ds, right_ds, *, key: str, left_ts: str,
     arbitrarily overlapping intervals; no pair materialization.  Overflow
     bound: codes × K < 2^63 holds for any partition under ~10^9 rows.
     """
-    P = num_partitions or default_num_partitions()
+    lschema, rschema = ds_arrow_schema(left_ds), ds_arrow_schema(right_ds)
+    left_side = pa.schema([lschema.field(key), lschema.field(left_ts)])
+    right_side = pa.schema([rschema.field(c)
+                            for c in (key, right_start, right_end)])
+    out_schema = pa.schema([lschema.field(key),
+                            ("range_start", rschema.field(right_start).type),
+                            ("range_end", rschema.field(right_end).type),
+                            (out_col, pa.int64())])
 
-    def tag_left(b: pa.Table) -> pa.Table:
-        return pa.table({key: b[key], "__lts": b[left_ts],
-                         "__rs": pa.nulls(b.num_rows, b[left_ts].type),
-                         "__re": pa.nulls(b.num_rows, b[left_ts].type),
-                         "__side": pa.array([0] * b.num_rows, pa.int8()),
-                         "__part": partition_ids(b[key], P)})
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        n = b.num_rows
-        return pa.table({key: b[key],
-                         "__lts": pa.nulls(n, b[right_start].type),
-                         "__rs": b[right_start], "__re": b[right_end],
-                         "__side": pa.array([1] * n, pa.int8()),
-                         "__part": partition_ids(b[key], P)})
-
-    unioned = (left_ds.map_batches(tag_left, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-               .union(right_ds.map_batches(tag_right,
-                                           batch_format="pyarrow",
-                                           zero_copy_batch=True)))
-
-    def merge(part: pa.Table) -> pa.Table:
-        side = np.asarray(part["__side"])
-        lt = part.filter(pa.array(side == 0))
-        rt = part.filter(pa.array(side == 1))
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
         if rt.num_rows == 0:
-            return pa.table({key: pa.array([], part[key].type),
-                             "range_start": pa.array([], part["__rs"].type),
-                             "range_end": pa.array([], part["__re"].type),
-                             out_col: pa.array([], pa.int64())})
+            return out_schema.empty_table()
         # dense key codes consistent across both sides: encode ONE array.
         # A null key's dictionary index is null (numpy would read garbage) —
         # sanitize to 0 and mask below: a null-key left row counts nowhere,
         # a null-key right interval counts 0 (SQL null-comparison semantics)
-        keys_all = part[key]
-        if isinstance(keys_all, pa.ChunkedArray):
-            keys_all = keys_all.combine_chunks()
+        nl = lt.num_rows
+        keys_all = pa.concat_arrays([as_array(lt[key]), as_array(rt[key])])
         idx = keys_all.dictionary_encode().indices
         key_ok = np.asarray(pc.is_valid(idx))
         codes_all = np.asarray(pc.coalesce(idx, pa.scalar(0, idx.type)),
                                dtype=np.int64)
-        codes_l = codes_all[side == 0]
-        codes_r = codes_all[side == 1]
         # null left timestamps can never fall in a range; null right bounds
         # never match (SQL comparison-with-null semantics) — computed on
         # zero-filled values, masked back to 0 below
-        l_ok = np.asarray(pc.is_valid(lt["__lts"])) & key_ok[side == 0]
-        codes_l = codes_l[l_ok]
-        lts = _np_i64(lt.filter(pa.array(l_ok))["__lts"])
-        r_ok = np.asarray(pc.and_(pc.is_valid(rt["__rs"]),
-                                  pc.is_valid(rt["__re"]))) & key_ok[side == 1]
-        rs = _np_i64(pc.coalesce(rt["__rs"], pa.scalar(0, rt["__rs"].type)))
-        re_ = _np_i64(pc.coalesce(rt["__re"], pa.scalar(0, rt["__re"].type)))
+        l_ok = np.asarray(pc.is_valid(lt[left_ts])) & key_ok[:nl]
+        codes_l = codes_all[:nl][l_ok]
+        codes_r = codes_all[nl:]
+        lts = _np_i64(lt[left_ts].filter(pa.array(l_ok)))
+        start, end = rt[right_start], rt[right_end]
+        r_ok = np.asarray(pc.and_(pc.is_valid(start), pc.is_valid(end))) \
+            & key_ok[nl:]
+        rs = _np_i64(pc.coalesce(start, pa.scalar(0, start.type)))
+        re_ = _np_i64(pc.coalesce(end, pa.scalar(0, end.type)))
         # shared dense rank space over every timestamp in the partition
         uniq = np.unique(np.concatenate([lts, rs, re_]))
         K = np.int64(len(uniq) + 1)
@@ -169,13 +148,14 @@ def range_join_count(left_ds, right_ds, *, key: str, left_ts: str,
         counts = np.where(r_ok, np.maximum(hi - lo, 0), 0)
         return pa.table({
             key: rt[key],
-            "range_start": rt["__rs"],
-            "range_end": rt["__re"],
+            "range_start": start,
+            "range_end": end,
             out_col: pa.array(counts, pa.int64()),
         })
 
-    return unioned.groupby("__part").map_groups(merge,
-                                                batch_format="pyarrow")
+    return hash_exchange([(left_ds, left_side), (right_ds, right_side)],
+                         key, merge, out_schema,
+                         num_partitions=num_partitions)
 
 
 def asof_join(left_ds, right_ds, *, key: str, left_ts: str, right_ts: str,
@@ -188,22 +168,23 @@ def asof_join(left_ds, right_ds, *, key: str, left_ts: str, right_ts: str,
     (``direction="forward"``); null if none.
 
     Per-partition merge, vectorized across ALL keys at once: sort the
-    unioned partition by (key, ts, right-before-left-at-ties, value), then
-    one ``np.maximum.accumulate`` forward-fill carries the index of the
-    last right row to every row; a key-boundary reset mask invalidates
-    fills that crossed into a different key.  No per-key Python.  Right
-    ties on (key, ts) resolve to the MAX value inside the same sorted pass
-    (the max-value right row sorts last among its ties, so the forward
-    fill lands on it) — no separate pre-reduce shuffle.
+    partition's (key, ts, side, value, row) of both sides by (key, ts,
+    right-before-left-at-ties, value), then one ``np.maximum.accumulate``
+    forward-fill carries the index of the last right row to every row; a
+    key-boundary reset mask invalidates fills that crossed into a
+    different key.  No per-key Python.  Right ties on (key, ts) resolve
+    to the MAX value inside the same sorted pass (the max-value right row
+    sorts last among its ties, so the forward fill lands on it) — no
+    separate pre-reduce shuffle.
     """
-    P = num_partitions or default_num_partitions()
     out_col = out_col or f"asof_{value_col}"
-    left_schema = left_ds.schema()
-    left_names = list(left_schema.names)
-    left_types = {n: t for n, t in zip(left_schema.names, left_schema.types)}
-    rtypes = dict(zip(right_ds.schema().names, right_ds.schema().types))
-    rts_type = rtypes[right_ts]
-    rval_type = rtypes[value_col]
+    left_schema = ds_arrow_schema(left_ds)
+    rschema = ds_arrow_schema(right_ds)
+    rval_type = rschema.field(value_col).type
+    right_side = pa.schema([rschema.field(key),
+                            ("__rts", rschema.field(right_ts).type),
+                            ("__rval", rval_type)])
+    out_schema = left_schema.append(pa.field(out_col, rval_type))
 
     def slim(b: pa.Table) -> pa.Table:
         # Null semantics, deliberate and oracle-mirrored: right rows with a
@@ -219,52 +200,30 @@ def asof_join(left_ds, right_ds, *, key: str, left_ts: str, right_ts: str,
                             pc.is_valid(b[value_col])),
                     pc.is_valid(b[key]))
         b = b.filter(m)
-        return pa.table({
-            key: b[key],
-            right_ts: b[right_ts],
-            value_col: b[value_col]})
+        # internal names: the right columns may share names with the left
+        return pa.table({key: b[key], "__rts": b[right_ts],
+                         "__rval": b[value_col]})
 
     right_slim = right_ds.map_batches(slim, batch_format="pyarrow",
                                       zero_copy_batch=True)
-
-    def tag_left(b: pa.Table) -> pa.Table:
-        cols = {n: b[n] for n in left_names}
-        cols["__rts"] = pa.nulls(b.num_rows, rts_type)
-        cols["__rval"] = pa.nulls(b.num_rows, rval_type)
-        cols["__side"] = pa.array([0] * b.num_rows, pa.int8())
-        cols["__part"] = partition_ids(b[key], P)
-        return pa.table(cols)
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        cols = {}
-        for n in left_names:
-            if n == key:
-                cols[n] = b[key]
-            else:
-                cols[n] = pa.nulls(b.num_rows, left_types[n])
-        cols["__rts"] = b[right_ts]
-        cols["__rval"] = b[value_col]
-        cols["__side"] = pa.array([1] * b.num_rows, pa.int8())
-        cols["__part"] = partition_ids(b[key], P)
-        return pa.table(cols)
-
-    unioned = (left_ds.map_batches(tag_left, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-               .union(right_slim.map_batches(tag_right,
-                                             batch_format="pyarrow",
-                                             zero_copy_batch=True)))
-
     backward = direction == "backward"
 
-    def merge(part: pa.Table) -> pa.Table:
-        n = part.num_rows
-        side = np.asarray(part["__side"])
-        lts_i = pc.cast(part[left_ts], pa.int64())
-        rts_i = pc.cast(part["__rts"], pa.int64())
-        uts = pc.coalesce(pc.if_else(pa.array(side == 0), lts_i, rts_i),
-                          pa.scalar(0, pa.int64()))
-        t = (part.append_column("__uts", uts)
-             .append_column("__ord", pa.array(side.astype(np.int8))))
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
+        nl, nr = lt.num_rows, rt.num_rows
+        side = np.r_[np.zeros(nl, np.int8), np.ones(nr, np.int8)]
+        lts_ok = np.asarray(pc.is_valid(lt[left_ts]))
+        key_ok = np.asarray(pc.is_valid(lt[key]))
+        uts = pa.concat_arrays([
+            as_array(pc.cast(lt[left_ts], pa.int64())),
+            as_array(pc.cast(rt["__rts"], pa.int64()))])
+        t = pa.table({
+            key: pa.concat_arrays([as_array(lt[key]), as_array(rt[key])]),
+            "__uts": pc.coalesce(uts, pa.scalar(0, pa.int64())),
+            "__ord": pa.array(side),
+            "__rval": pa.concat_arrays([pa.nulls(nl, rval_type),
+                                        as_array(rt["__rval"])]),
+            "__row": pa.array(np.arange(nl + nr, dtype=np.int64)),
+        })
         if backward:
             # right rows sort BEFORE left rows at equal (key, ts) — the
             # condition is inclusive — and among right ties the MAX value
@@ -279,8 +238,7 @@ def asof_join(left_ds, right_ds, *, key: str, left_ts: str, right_ts: str,
                            ("__ord", "ascending"),
                            ("__rval", "descending")])
         n = t.num_rows
-        side_s = np.asarray(t["__side"])
-        is_right = side_s == 1
+        is_right = np.asarray(t["__ord"]) == 1
         idx = np.arange(n, dtype=np.int64)
         key_id = np.cumsum(key_change_mask(t[key], n)) - 1
         if backward:
@@ -293,27 +251,16 @@ def asof_join(left_ds, right_ds, *, key: str, left_ts: str, right_ts: str,
             valid = (fill_idx < n) & (key_id[np.minimum(fill_idx, n - 1)]
                                       == key_id)
         left_mask = ~is_right
-        lt = t.filter(pa.array(left_mask))
-        rvals = t["__rval"]
-        if isinstance(rvals, pa.ChunkedArray):
-            rvals = rvals.combine_chunks()
+        rows = np.asarray(t["__row"])[left_mask]     # original left rows
         fill = np.clip(fill_idx[left_mask], 0, n - 1)
-        ok = valid[left_mask]
         # a left row with a null timestamp or null key matches NOTHING
         # (its __uts was coalesced to 0 only so the sort is well-defined;
         # SQL null-comparison semantics say no right row qualifies)
-        lts_col = t[left_ts]
-        if lts_col.null_count:
-            ok &= np.asarray(pc.is_valid(lts_col))[left_mask]
-        key_col = t[key]
-        if key_col.null_count:
-            ok &= np.asarray(pc.is_valid(key_col))[left_mask]
-        vals = rvals.take(pa.array(fill, pa.int64()))
-        vals = pc.if_else(pa.array(ok), vals, pa.nulls(lt.num_rows,
-                                                       rval_type))
-        out_cols = {name: lt[name] for name in left_names}
-        out_cols[out_col] = vals
-        return pa.table(out_cols)
+        ok = valid[left_mask] & lts_ok[rows] & key_ok[rows]
+        vals = as_array(t["__rval"]).take(pa.array(fill, pa.int64()))
+        vals = pc.if_else(pa.array(ok), vals, pa.nulls(len(rows), rval_type))
+        return lt.take(pa.array(rows)).append_column(out_col, vals)
 
-    return unioned.groupby("__part").map_groups(merge,
-                                                batch_format="pyarrow")
+    return hash_exchange([(left_ds, left_schema), (right_slim, right_side)],
+                         key, merge, out_schema,
+                         num_partitions=num_partitions)

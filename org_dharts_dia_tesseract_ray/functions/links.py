@@ -33,7 +33,8 @@ Contracts (mirrored exactly by the DuckDB oracles):
   oracle fixture — cannot produce that shape, and the operator's reading
   is the crawl-practice one.
 * ``resolved``: absolute http(s) hrefs pass through; root-relative
-  (``/path``) resolve against the source origin; protocol-relative and
+  (``/path``) resolve against the source's http(s) origin (NULL when the
+  source has none, e.g. ``ftp://``); protocol-relative and
   everything else (fragments, mailto:, javascript:, relative paths) are
   NULL — resolving those needs a base-dir/``<base>`` model that a
   deterministic byte-identical stage should not guess at.
@@ -51,6 +52,20 @@ ORIGIN_PATTERN = r"^(?P<m>https?://[^/]+)"
 TITLE_PATTERN = r"<title>(?P<m>[^<]*)</title>"
 DESCRIPTION_PATTERN = r'<meta name="description" content="(?P<m>[^"]*)"'
 CANONICAL_PATTERN = r'<link rel="canonical" href="(?P<m>[^"]*)"'
+
+
+def resolved_sql(src: str, href: str) -> str:
+    """DuckDB expression of the ``resolved`` contract for SQL columns
+    ``src`` and ``href`` — the oracles' half of it.  ``regexp_extract``
+    yields '' where Arrow's ``extract_regex`` yields NULL, so NULLIF
+    restores parity for a source without an http(s) origin."""
+    return f"""CASE WHEN {href} LIKE 'http://%' OR {href} LIKE 'https://%'
+         THEN {href}
+       WHEN {href} LIKE '//%' THEN NULL
+       WHEN {href} LIKE '/%'
+         THEN NULLIF(regexp_extract({src}, '^(https?://[^/]+)', 1), '')
+              || {href}
+       ELSE NULL END"""
 
 
 def _html_as_string(col: pa.ChunkedArray | pa.Array) -> pa.Array | pa.ChunkedArray:

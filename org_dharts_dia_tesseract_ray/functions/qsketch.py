@@ -13,8 +13,8 @@ each batch's emission per key at ``capacity`` weighted points:
    zero error; otherwise ``capacity`` evenly-spaced weight buckets,
    each represented by its middle order statistic.  Rank error per
    compression <= run/(2*capacity).
-2. summaries merge by concatenation inside the engine's hash-partition
-   pattern (``__part = hash(key) % P`` → one groupby shuffle → one
+2. summaries merge by concatenation inside the engine's hash exchange
+   (``util.hash_exchange``: one shuffle on ``hash(key) % P`` → one
    vectorized walk per partition; null keys form their own run, SQL
    GROUP BY semantics) — shuffle <= batches x keys x capacity points,
    never the raw values.  ``thin_summary`` re-thins only at
@@ -40,8 +40,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import (default_num_partitions, key_change_mask,
-                    partition_ids, round_half_away)
+from ..util import hash_exchange, key_change_mask, mapped_side, round_half_away
 
 
 def thin_summary(vals: np.ndarray, weights: np.ndarray,
@@ -123,11 +122,6 @@ def grouped_quantiles_sketch(ds, *, key: str, value_col: str,
             "weights": pa.array(ws, pa.binary()),
         })
 
-    P = num_partitions or default_num_partitions()
-
-    def add_part(b: pa.Table) -> pa.Table:
-        return b.append_column("__part", partition_ids(b[key], P))
-
     def merge_partition(g: pa.Table) -> pa.Table:
         # hash-partitioned like stats.grouped_quantiles — Ray's key
         # groupby sort-shuffles and crashes on null keys; key_change_mask
@@ -161,9 +155,8 @@ def grouped_quantiles_sketch(ds, *, key: str, value_col: str,
             cols[name] = pa.array(arr, pa.float64())
         return pa.table(cols)
 
-    partials = (ds.map_batches(partial, batch_format="pyarrow",
-                               zero_copy_batch=True)
-                .map_batches(add_part, batch_format="pyarrow",
-                             zero_copy_batch=True))
-    return partials.groupby("__part").map_groups(merge_partition,
-                                                 batch_format="pyarrow")
+    partials, schema = mapped_side(ds, partial)
+    out_schema = pa.schema([schema.field(key)]
+                           + [(c, pa.float64()) for c in qcols])
+    return hash_exchange([(partials, schema)], key, merge_partition,
+                         out_schema, num_partitions=num_partitions)

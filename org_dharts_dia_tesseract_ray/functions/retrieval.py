@@ -111,8 +111,10 @@ def bm25_topk(ds, queries: list[str], *, k: int = 10,
         })
 
     stats_rows = grouped_arrow_aggregate(
-        docs.map_batches(partials, batch_format="pyarrow",
-                         zero_copy_batch=True),
+        (docs.map_batches(partials, batch_format="pyarrow",
+                          zero_copy_batch=True),
+         pa.schema([(c, pa.int64()) for c in ("ti", "df", "docs",
+                                              "len_sum")])),
         "ti", [("df", "sum", "df"), ("docs", "sum", "docs"),
                ("len_sum", "sum", "len_sum")],
     ).take_all()            # ≤ T+1 rows — bounded by the query side

@@ -2,14 +2,13 @@
 
 Corpus profiling needs distribution shape (doc-length quantiles per
 language/source drive filtering thresholds).  Exact per-group quantiles via
-the engine's hash-partition pattern: ``__part = hash(key) % P`` is a pure
-vectorized column, ONE ``groupby(__part)`` shuffle co-locates each key, and
-every partition is processed by a single call that sorts once and walks its
-key runs — Python call count = P, not |keys|, so high-cardinality keys
-(quantiles per order, per host) cost no per-key Ray overhead.  Within a
-run ``np.percentile`` (linear interpolation — bit-compatible with DuckDB
-``quantile_cont`` modulo double-rounding noise, hence the shared 4 dp
-quantization).
+the engine's hash exchange (``util.hash_exchange``): ONE shuffle on
+``hash(key) % P`` co-locates each key, and every partition is processed
+by a single call that sorts once and walks its key runs — Python call
+count = P, not |keys|, so high-cardinality keys (quantiles per order,
+per host) cost no per-key Ray overhead.  Within a run ``np.percentile``
+(linear interpolation — bit-compatible with DuckDB ``quantile_cont``
+modulo double-rounding noise, hence the shared 4 dp quantization).
 
 Scale note: for sketch-grade accuracy at extreme cardinality × huge groups,
 switch to a mergeable KLL/t-digest partial per batch; exact per-partition
@@ -22,8 +21,16 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import (as_array, default_num_partitions, ds_arrow_schema,
-                    key_change_mask, partition_ids, round_half_away)
+from ..util import (as_array, ds_arrow_schema, hash_exchange,
+                    key_change_mask, mapped_side, round_half_away)
+
+
+def _pinned(ds, cols) -> pa.Schema:
+    """The input schema projected to ``cols`` (a column named twice is
+    kept once) — the pinned schema of an exchange side: only these
+    columns cross the exchange."""
+    in_schema = ds_arrow_schema(ds)
+    return pa.schema([in_schema.field(c) for c in dict.fromkeys(cols)])
 
 
 def grouped_quantiles(ds, *, key: str, value_col: str,
@@ -32,10 +39,9 @@ def grouped_quantiles(ds, *, key: str, value_col: str,
     """(key, q50, q90, …) — exact linear-interpolation quantiles per group."""
     qcols = [f"q{int(q * 100)}" for q in quantiles]
     qpcts = [q * 100 for q in quantiles]
-    P = num_partitions or default_num_partitions()
-
-    def add_part(b: pa.Table) -> pa.Table:
-        return b.append_column("__part", partition_ids(b[key], P))
+    schema = _pinned(ds, [key, value_col])
+    out_schema = pa.schema([schema.field(key)]
+                           + [(c, pa.float64()) for c in qcols])
 
     def per_partition(g: pa.Table) -> pa.Table:
         t = g.sort_by([(key, "ascending")])
@@ -56,10 +62,8 @@ def grouped_quantiles(ds, *, key: str, value_col: str,
             cols[name] = pa.array(arr, pa.float64())
         return pa.table(cols)
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return parted.groupby("__part").map_groups(per_partition,
-                                               batch_format="pyarrow")
+    return hash_exchange([(ds, schema)], key, per_partition, out_schema,
+                         num_partitions=num_partitions)
 
 
 def grouped_quantiles_sql(key: str = "lang", value_col: str = "n_chars",
@@ -106,33 +110,18 @@ def topk_per_key(ds, *, key: str, value_col: str, id_col: str, k: int = 3,
     arithmetic, Python call count = P independent of key cardinality)
     emits the final rows with their rank.  Deterministic tie-break
     (value desc, id asc) mirrored in the SQL oracle."""
-    P = num_partitions or default_num_partitions()
-
-    in_schema = ds_arrow_schema(ds)
-    out_schema = pa.schema([
-        in_schema.field(key), in_schema.field(value_col),
-        in_schema.field(id_col), pa.field("rank", pa.int64()),
-    ])
+    schema = _pinned(ds, [key, value_col, id_col])
+    out_schema = schema.append(pa.field("rank", pa.int64()))
 
     def combine(b: pa.Table) -> pa.Table:
-        t = pa.table({key: b[key], value_col: b[value_col],
-                      id_col: b[id_col]})
-        t = _prune_topk(t, key, value_col, id_col, k)
-        return t.append_column("__part", partition_ids(t[key], P))
-
-    pruned = ds.map_batches(combine, batch_format="pyarrow",
-                            zero_copy_batch=True)
+        t = b.select(schema.names)
+        return _prune_topk(t, key, value_col, id_col, k)
 
     def finish(part: pa.Table) -> pa.Table:
-        # empty hash partitions arrive schema-less (the
-        # schema_pinned_join hazard) — emit the typed empty table
-        if part.num_rows == 0 or "__part" not in part.column_names:
-            return out_schema.empty_table()
-        part = part.drop_columns(["__part"])
         return _prune_topk(part, key, value_col, id_col, k, with_rank=True)
 
-    return pruned.groupby("__part").map_groups(finish,
-                                               batch_format="pyarrow")
+    return hash_exchange([mapped_side(ds, combine)], key, finish,
+                         out_schema, num_partitions=num_partitions)
 
 
 def topk_per_key_sql(key: str = "lang", value_col: str = "n_chars",
@@ -171,26 +160,11 @@ def running_total_per_key(ds, *, key: str, order_col: str, id_col: str,
     would propagate nulls instead — divergence only on null inputs).
     Deterministic tie-break (order_col, then id_col) mirrored in the SQL
     oracle."""
-    P = num_partitions or default_num_partitions()
-
-    in_schema = ds_arrow_schema(ds)
-    cols = [key, order_col, id_col, value_col]
-    out_schema = pa.schema(
-        [in_schema.field(c) for c in cols] + [pa.field(out_col, pa.int64())])
-
-    def add_part(b: pa.Table) -> pa.Table:
-        t = pa.table({c: b[c] for c in cols})
-        return t.append_column("__part", partition_ids(t[key], P))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow",
-                            zero_copy_batch=True)
+    schema = _pinned(ds, [key, order_col, id_col, value_col])
+    out_schema = schema.append(pa.field(out_col, pa.int64()))
 
     def finish(part: pa.Table) -> pa.Table:
-        # empty hash partitions arrive schema-less (the
-        # schema_pinned_join hazard) — emit the typed empty table
-        if part.num_rows == 0 or "__part" not in part.column_names:
-            return out_schema.empty_table()
-        t = part.drop_columns(["__part"]).sort_by(
+        t = part.sort_by(
             [(key, "ascending"), (order_col, "ascending"),
              (id_col, "ascending")])
         v = np.asarray(pc.fill_null(t[value_col], 0).cast(pa.int64()),
@@ -202,8 +176,8 @@ def running_total_per_key(ds, *, key: str, order_col: str, id_col: str,
         run = cs - np.repeat(base, lens)
         return t.append_column(out_col, pa.array(run, pa.int64()))
 
-    return parted.groupby("__part").map_groups(finish,
-                                               batch_format="pyarrow")
+    return hash_exchange([(ds, schema)], key, finish, out_schema,
+                         num_partitions=num_partitions)
 
 
 def running_total_sql(key: str = "user_id", order_col: str = "ts",
@@ -238,26 +212,11 @@ def percent_rank_per_key(ds, *, key: str, value_col: str, id_col: str,
     Python call count = P).  The division is the same
     int64→float64 ``rank0 / (n-1)`` the SQL engine performs, so outputs
     are bit-identical to the oracle."""
-    P = num_partitions or default_num_partitions()
-
-    in_schema = ds_arrow_schema(ds)
-    cols = [id_col, key, value_col]
-    out_schema = pa.schema(
-        [in_schema.field(c) for c in cols]
-        + [pa.field(out_col, pa.float64())])
-
-    def add_part(b: pa.Table) -> pa.Table:
-        t = pa.table({c: b[c] for c in cols})
-        return t.append_column("__part", partition_ids(t[key], P))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow",
-                            zero_copy_batch=True)
+    schema = _pinned(ds, [id_col, key, value_col])
+    out_schema = schema.append(pa.field(out_col, pa.float64()))
 
     def finish(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or "__part" not in part.column_names:
-            return out_schema.empty_table()
-        t = part.drop_columns(["__part"]).sort_by(
-            [(key, "ascending"), (value_col, "ascending")])
+        t = part.sort_by([(key, "ascending"), (value_col, "ascending")])
         n = t.num_rows
         kchange = key_change_mask(t[key], n)
         kstarts = np.flatnonzero(kchange)
@@ -271,8 +230,8 @@ def percent_rank_per_key(ds, *, key: str, value_col: str, id_col: str,
         pr = np.where(denom > 0, rank0 / np.maximum(denom, 1), 0.0)
         return t.append_column(out_col, pa.array(pr, pa.float64()))
 
-    return parted.groupby("__part").map_groups(finish,
-                                               batch_format="pyarrow")
+    return hash_exchange([(ds, schema)], key, finish, out_schema,
+                         num_partitions=num_partitions)
 
 
 def percent_rank_sql(key: str = "lang", value_col: str = "n_chars",
@@ -298,24 +257,11 @@ def lag_delta_per_key(ds, *, key: str, order_col: str, id_col: str,
     :func:`running_total_per_key`; ``order_col`` may be any integer or
     temporal type (temporal deltas come back as int64 in the column's
     native unit, e.g. microseconds for ``timestamp[us]``)."""
-    P = num_partitions or default_num_partitions()
-
-    in_schema = ds_arrow_schema(ds)
-    cols = [key, order_col, id_col]
-    out_schema = pa.schema(
-        [in_schema.field(c) for c in cols] + [pa.field(out_col, pa.int64())])
-
-    def add_part(b: pa.Table) -> pa.Table:
-        t = pa.table({c: b[c] for c in cols})
-        return t.append_column("__part", partition_ids(t[key], P))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow",
-                            zero_copy_batch=True)
+    schema = _pinned(ds, [key, order_col, id_col])
+    out_schema = schema.append(pa.field(out_col, pa.int64()))
 
     def finish(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or "__part" not in part.column_names:
-            return out_schema.empty_table()
-        t = part.drop_columns(["__part"]).sort_by(
+        t = part.sort_by(
             [(key, "ascending"), (order_col, "ascending"),
              (id_col, "ascending")])
         n = t.num_rows
@@ -341,8 +287,8 @@ def lag_delta_per_key(ds, *, key: str, order_col: str, id_col: str,
         return t.append_column(
             out_col, pa.array(delta, pa.int64(), mask=first))
 
-    return parted.groupby("__part").map_groups(finish,
-                                               batch_format="pyarrow")
+    return hash_exchange([(ds, schema)], key, finish, out_schema,
+                         num_partitions=num_partitions)
 
 
 def lag_delta_sql(key: str = "user_id", order_col: str = "ts",
@@ -373,25 +319,13 @@ def ordered_concat_per_key(ds, *, key: str, order_col: str, id_col: str,
     Order inside a key is total (order_col, then id_col), so output is
     partitioning-invariant.  ``value_col`` must be non-null strings
     (corpus contract)."""
-    P = num_partitions or default_num_partitions()
-
-    in_schema = ds_arrow_schema(ds)
-    out_schema = pa.schema([in_schema.field(key),
+    schema = _pinned(ds, [key, order_col, id_col, value_col])
+    out_schema = pa.schema([schema.field(key),
                             pa.field("n_items", pa.int64()),
                             pa.field(out_col, pa.string())])
-    cols = [key, order_col, id_col, value_col]
-
-    def add_part(b: pa.Table) -> pa.Table:
-        t = pa.table({c: b[c] for c in cols})
-        return t.append_column("__part", partition_ids(t[key], P))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow",
-                            zero_copy_batch=True)
 
     def finish(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or "__part" not in part.column_names:
-            return out_schema.empty_table()
-        t = part.drop_columns(["__part"]).sort_by(
+        t = part.sort_by(
             [(key, "ascending"), (order_col, "ascending"),
              (id_col, "ascending")])
         n = t.num_rows
@@ -406,8 +340,8 @@ def ordered_concat_per_key(ds, *, key: str, order_col: str, id_col: str,
                          "n_items": pa.array(lens, pa.int64()),
                          out_col: joined})
 
-    return parted.groupby("__part").map_groups(finish,
-                                               batch_format="pyarrow")
+    return hash_exchange([(ds, schema)], key, finish, out_schema,
+                         num_partitions=num_partitions)
 
 
 def ordered_concat_sql(key: str = "user_id", order_col: str = "ts",
@@ -522,24 +456,16 @@ def distinct_count_per_key(ds, *, key: str, value_col: str,
     cardinality where even distinct pairs are too heavy, the HyperLogLog
     sketch (`functions/sketch.approx_distinct`) is the approximate
     sibling; this operator is the exact path."""
-    P = num_partitions or default_num_partitions()
-
-    in_schema = ds_arrow_schema(ds)
-    out_schema = pa.schema([in_schema.field(key),
+    schema = _pinned(ds, [key, value_col])
+    out_schema = pa.schema([schema.field(key),
                             pa.field(out_col, pa.int64())])
 
     def combine(b: pa.Table) -> pa.Table:
-        t = pa.table({key: b[key], value_col: b[value_col]})
-        t = t.group_by([key, value_col]).aggregate([])     # distinct pairs
-        return t.append_column("__part", partition_ids(t[key], P))
-
-    pairs = ds.map_batches(combine, batch_format="pyarrow",
-                           zero_copy_batch=True)
+        t = b.select(schema.names)
+        return t.group_by([key, value_col]).aggregate([])   # distinct pairs
 
     def finish(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or "__part" not in part.column_names:
-            return out_schema.empty_table()
-        t = part.drop_columns(["__part"]).sort_by(
+        t = part.sort_by(
             [(key, "ascending"), (value_col, "ascending")])
         n = t.num_rows
         kchange = key_change_mask(t[key], n)
@@ -560,8 +486,8 @@ def distinct_count_per_key(ds, *, key: str, value_col: str,
         return pa.table({key: keys,
                          out_col: pa.array(counts, pa.int64())})
 
-    return pairs.groupby("__part").map_groups(finish,
-                                              batch_format="pyarrow")
+    return hash_exchange([mapped_side(ds, combine)], key, finish,
+                         out_schema, num_partitions=num_partitions)
 
 
 def distinct_count_sql(key: str = "event_type", value_col: str = "user_id",
@@ -637,25 +563,11 @@ def ntile_per_key(ds, *, key: str, value_col: str, id_col: str,
     ``n // k``, the first ``n % k`` buckets one larger, 1-based labels.
     Same one-exchange / per-partition-vectorized shape as the sibling
     window operators."""
-    P = num_partitions or default_num_partitions()
-
-    in_schema = ds_arrow_schema(ds)
-    cols = [id_col, key, value_col]
-    out_schema = pa.schema(
-        [in_schema.field(c) for c in cols]
-        + [pa.field(out_col, pa.int64())])
-
-    def add_part(b: pa.Table) -> pa.Table:
-        t = pa.table({c: b[c] for c in cols})
-        return t.append_column("__part", partition_ids(t[key], P))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow",
-                            zero_copy_batch=True)
+    schema = _pinned(ds, [id_col, key, value_col])
+    out_schema = schema.append(pa.field(out_col, pa.int64()))
 
     def finish(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or "__part" not in part.column_names:
-            return out_schema.empty_table()
-        t = part.drop_columns(["__part"]).sort_by(
+        t = part.sort_by(
             [(key, "ascending"), (value_col, "ascending"),
              (id_col, "ascending")])
         n = t.num_rows
@@ -675,8 +587,8 @@ def ntile_per_key(ds, *, key: str, value_col: str, id_col: str,
             rem + (pos - big) // np.maximum(base, 1)) + 1
         return t.append_column(out_col, pa.array(tile, pa.int64()))
 
-    return parted.groupby("__part").map_groups(finish,
-                                               batch_format="pyarrow")
+    return hash_exchange([(ds, schema)], key, finish, out_schema,
+                         num_partitions=num_partitions)
 
 
 def ntile_sql(key: str = "lang", value_col: str = "n_chars",

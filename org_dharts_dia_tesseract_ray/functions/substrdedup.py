@@ -123,14 +123,7 @@ def _dup_grams_dataset(ds, *, w: int, text_col: str, id_col: str,
     Arrow reduce does the same work in a fraction — the exchange volume
     is identical (the per-batch combiner has already collapsed each batch
     to one row per gram)."""
-    import ray
-    import ray.data
-
-    from ..util import default_num_partitions, partition_ids
-
-    if num_partitions is None:
-        num_partitions = default_num_partitions()
-    P = num_partitions
+    from ..util import hash_exchange, mapped_side
 
     def partial(b: pa.Table) -> pa.Table:
         g, rows, _ = _gram_hashes(*_token_runs(b, text_col), w)
@@ -139,10 +132,9 @@ def _dup_grams_dataset(ds, *, w: int, text_col: str, id_col: str,
                       "doc": pa.array(ids, pa.int64())})
         # per-batch combiner: one row per (gram) before the shuffle
         c = t.group_by("gram").aggregate([("doc", "min"), ("doc", "max")])
-        out = pa.table({"gram": c["gram"],
-                        "lo": c["doc_min"].cast(pa.int64()),
-                        "hi": c["doc_max"].cast(pa.int64())})
-        return out.append_column("__part", partition_ids(out["gram"], P))
+        return pa.table({"gram": c["gram"],
+                         "lo": c["doc_min"].cast(pa.int64()),
+                         "hi": c["doc_max"].cast(pa.int64())})
 
     def reduce_part(g: pa.Table) -> pa.Table:
         # cross-doc filter stays distributed: the unique-gram reduce is
@@ -151,14 +143,9 @@ def _dup_grams_dataset(ds, *, w: int, text_col: str, id_col: str,
         m = pc.not_equal(c["lo_min"], c["hi_max"])
         return pa.table({"gram": c["gram"].filter(m)})
 
-    dup = (ds.map_batches(partial, batch_format="pyarrow",
-                          zero_copy_batch=True)
-           .groupby("__part").map_groups(reduce_part,
-                                         batch_format="pyarrow"))
-    # typed-empty union pins the (gram) schema when the corpus has no
-    # cross-doc duplication at all (map_groups never runs then)
-    return ray.data.from_arrow(
-        pa.table({"gram": pa.array([], pa.int64())})).union(dup)
+    return hash_exchange([mapped_side(ds, partial)], "gram", reduce_part,
+                         pa.schema([("gram", pa.int64())]),
+                         num_partitions=num_partitions)
 
 
 def _dup_gram_set(ds, *, w: int, text_col: str, id_col: str) -> np.ndarray:
@@ -169,8 +156,6 @@ def _dup_gram_set(ds, *, w: int, text_col: str, id_col: str) -> np.ndarray:
     # cross-doc grams stream here; the full gram aggregate stays distributed
     for bt in (_dup_grams_dataset(ds, w=w, text_col=text_col, id_col=id_col)
                .iter_batches(batch_format="pyarrow")):
-        if bt.num_rows == 0 or "gram" not in bt.column_names:
-            continue
         chunks.append(np.asarray(bt["gram"], dtype=np.int64))
     dup = (np.sort(np.concatenate(chunks).view(np.uint64))
            if chunks else np.empty(0, np.uint64))
@@ -240,22 +225,18 @@ def _marked_ds(ds, *, w: int, text_col: str, id_col: str,
     original aggregate-then-semi-join design used two with the same
     dominant shuffle volume (the windows themselves); the scale bound is
     shuffle volume, not driver memory (closes VERDICT r4 item 1)."""
-    from ..util import partition_ids
-
-    P = num_partitions
+    from ..util import hash_exchange, mapped_side
 
     def windows(b: pa.Table) -> pa.Table:
         g, rows, p = _gram_hashes(*_token_runs(b, text_col), w)
         ids = np.asarray(b[id_col], dtype=np.int64)[rows]
-        t = pa.table({
+        return pa.table({
             "gram": pa.array(g.view(np.int64), pa.int64()),
             id_col: pa.array(ids, pa.int64()),
             "pos": pa.array(p, pa.int64()),
         })
-        return t.append_column("__part", partition_ids(t["gram"], P))
 
-    def mark_part(g: pa.Table) -> pa.Table:
-        t = g.select(["gram", id_col, "pos"])
+    def mark_part(t: pa.Table) -> pa.Table:
         agg = t.group_by("gram").aggregate([(id_col, "min"),
                                             (id_col, "max")])
         dup = agg.filter(pc.not_equal(agg[f"{id_col}_min"],
@@ -264,16 +245,9 @@ def _marked_ds(ds, *, w: int, text_col: str, id_col: str,
                                  if isinstance(dup, pa.ChunkedArray)
                                  else dup))
 
-    win = ds.map_batches(windows, batch_format="pyarrow",
-                         zero_copy_batch=True)
-    marked = win.groupby("__part").map_groups(mark_part,
-                                              batch_format="pyarrow")
-    # typed-empty union pins the 3-column schema for duplication-free
-    # corpora (map_groups never emits then)
-    import ray.data
-    return ray.data.from_arrow(pa.schema(
-        [("gram", pa.int64()), (id_col, pa.int64()),
-         ("pos", pa.int64())]).empty_table()).union(marked)
+    win, schema = mapped_side(ds, windows)
+    return hash_exchange([(win, schema)], "gram", mark_part, schema,
+                         num_partitions=num_partitions)
 
 
 def duplicated_spans(ds, *, w: int = 8, text_col: str = "text",
@@ -314,20 +288,12 @@ def duplicated_spans(ds, *, w: int = 8, text_col: str = "text",
         return ray.data.from_arrow(out_schema.empty_table())
 
     if strategy == "join":
-        from ..util import partition_ids
+        from ..util import hash_exchange
 
         if num_partitions is None:
             num_partitions = default_num_partitions()
         marked = _marked_ds(ds, w=w, text_col=text_col, id_col=id_col,
                             num_partitions=num_partitions)
-        P = num_partitions
-
-        def add_part(b: pa.Table) -> pa.Table:
-            # drop the dead gram column BEFORE the id exchange — this
-            # shuffle's volume is the scale bound, and gram is a third
-            # of the marked row
-            t = b.select([id_col, "pos"])
-            return t.append_column("__part", partition_ids(t[id_col], P))
 
         def per_part(g: pa.Table) -> pa.Table:
             # ONE vectorized pass per hash partition (Python calls = P,
@@ -339,13 +305,13 @@ def duplicated_spans(ds, *, w: int = 8, text_col: str = "text",
             return _islands_table(ids[order], p[order], w=w, id_col=id_col,
                                   out_schema=out_schema)
 
-        spans = (marked.map_batches(add_part, batch_format="pyarrow",
-                                    zero_copy_batch=True)
-                 .groupby("__part").map_groups(per_part,
-                                               batch_format="pyarrow"))
-        # union with a typed empty table pins the schema when no doc has
-        # any duplicated window (map_groups never runs on an empty input)
-        return ray.data.from_arrow(out_schema.empty_table()).union(spans)
+        # the pinned side drops the dead gram column BEFORE the id
+        # exchange — this shuffle's volume is the scale bound, and gram is
+        # a third of the marked row
+        return hash_exchange(
+            [(marked, pa.schema([(id_col, pa.int64()),
+                                 ("pos", pa.int64())]))],
+            id_col, per_part, out_schema, num_partitions=num_partitions)
 
     dup_ref = ray.put(_dup_gram_set(ds, w=w, text_col=text_col,
                                     id_col=id_col))

@@ -49,8 +49,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import (as_array, default_num_partitions, partition_ids,
-                    ragged_arange, _string_hash64)
+from ..util import (as_array, default_num_partitions, hash_exchange,
+                    keyed_coshuffle, ragged_arange, _string_hash64)
 
 #: positions-per-document cap baked into the packed (doc, pos) key
 _MAX_UNITS = 1 << 20
@@ -68,9 +68,12 @@ def _split_units(b: pa.Table, text_col: str, sep: str):
 
 def unit_dedup(ds, *, sep: str = "\n", text_col: str = "text",
                id_col: str = "doc_id", num_partitions: int | None = None):
-    """(id, text_kept, n_units, n_kept) — see module docstring."""
-    import ray.data
+    """(id, text_kept, n_units, n_kept) — see module docstring.
 
+    CONTRACT: ``id_col`` must be unique (the corpus primary key): the
+    reassembly maps winner positions onto documents by id, so a repeated
+    id raises ``ValueError`` instead of silently misassigning units.  Run
+    url/doc dedup first (the pipeline's own ordering)."""
     P = num_partitions or default_num_partitions()
 
     def drop_null(b: pa.Table) -> pa.Table:
@@ -94,8 +97,7 @@ def unit_dedup(ds, *, sep: str = "\n", text_col: str = "text",
         })
         # per-batch combiner: one row per distinct unit before the shuffle
         c = t.group_by("h").aggregate([("packed", "min")])
-        out = pa.table({"h": c["h"], "packed": c["packed_min"]})
-        return out.append_column("__part", partition_ids(out["h"], P))
+        return pa.table({"h": c["h"], "packed": c["packed_min"]})
 
     def win_part(g: pa.Table) -> pa.Table:
         # per h-partition (all occurrences of a unit co-resident): global
@@ -108,10 +110,12 @@ def unit_dedup(ds, *, sep: str = "\n", text_col: str = "text",
             "pos": pa.array(packed % _MAX_UNITS, pa.int64()),
         })
 
-    winners = (docs.map_batches(explode, batch_format="pyarrow",
-                                zero_copy_batch=True)
-               .groupby("__part").map_groups(win_part,
-                                             batch_format="pyarrow"))
+    win_schema = pa.schema([(id_col, pa.int64()), ("pos", pa.int64())])
+    winners = hash_exchange(
+        [(docs.map_batches(explode, batch_format="pyarrow",
+                           zero_copy_batch=True),
+          pa.schema([("h", pa.int64()), ("packed", pa.int64())]))],
+        "h", win_part, win_schema, num_partitions=P)
 
     # ---- exchange 2: id-keyed co-shuffle of docs and their surviving
     # positions (util.keyed_coshuffle); the per-partition merge
@@ -120,12 +124,15 @@ def unit_dedup(ds, *, sep: str = "\n", text_col: str = "text",
     def merge(tb: pa.Table, wb: pa.Table) -> pa.Table:
         ids_t = np.asarray(tb[id_col], dtype=np.int64)
         order_t = np.argsort(ids_t, kind="stable")
+        ids_sorted = ids_t[order_t]
+        if np.any(ids_sorted[1:] == ids_sorted[:-1]):
+            raise ValueError(f"unit_dedup: {id_col} is not unique")
         tb = tb.take(pa.array(order_t))
         ids_w = np.asarray(wb[id_col], dtype=np.int64)
         pos_w = np.asarray(wb["pos"], dtype=np.int64)
         ow = np.lexsort((pos_w, ids_w))
         ids_w, pos_w = ids_w[ow], pos_w[ow]
-        rows = np.searchsorted(ids_t[order_t], ids_w)
+        rows = np.searchsorted(ids_sorted, ids_w)
 
         units, flat, parents, lens = _split_units(tb, text_col, sep)
         doc_off = np.concatenate(([0], np.cumsum(lens)[:-1]))
@@ -145,18 +152,10 @@ def unit_dedup(ds, *, sep: str = "\n", text_col: str = "text",
         # (inner-join semantics, matching the oracle's GROUP BY over kept)
         return out.filter(pa.array(kept_counts > 0))
 
-    from ..util import keyed_coshuffle
-
-    out_schema = pa.schema([(id_col, pa.int64()),
-                            ("text_kept", pa.string()),
-                            ("n_units", pa.int64()),
-                            ("n_kept", pa.int64())])
-    merged = keyed_coshuffle(
-        docs.select_columns([id_col, text_col]), winners, id_col,
+    return keyed_coshuffle(
+        docs, winners, id_col,
         pa.schema([(id_col, pa.int64()), (text_col, pa.string())]),
-        pa.schema([(id_col, pa.int64()), ("pos", pa.int64())]),
-        merge, num_partitions=P)
-    return ray.data.from_arrow(out_schema.empty_table()).union(merged)
+        win_schema, merge, num_partitions=P)
 
 
 def unit_dedup_sql(*, sep_sql: str = "chr(10)", table: str = "documents",

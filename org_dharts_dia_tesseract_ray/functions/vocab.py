@@ -21,6 +21,20 @@ import pyarrow.compute as pc
 #: whitespace tokenization, matching the SQL oracle's regexp_split_to_array
 WS_PATTERN = r"\s+"
 
+#: code points ``pc.utf8_trim_whitespace`` strips: Unicode White_Space
+#: plus the ASCII separators 0x1c-0x1f
+_TRIM_CODEPOINTS = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F,
+                    0x20, 0x85, 0xA0, 0x1680, *range(0x2000, 0x200B),
+                    0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
+
+
+def trim_sql(col: str) -> str:
+    """DuckDB twin of ``pc.utf8_trim_whitespace``: one-argument ``trim``
+    strips only spaces, so text that starts or ends with a newline would
+    split into an extra empty token in the oracle alone."""
+    chars = " || ".join(f"chr({c})" for c in _TRIM_CODEPOINTS)
+    return f"trim({col}, {chars})"
+
 
 def doc_ngrams_batch(text_col, n: int):
     """All word ``n``-grams of a batch plus the row each one belongs to —
@@ -67,12 +81,12 @@ def token_counts_batch(batch: pa.Table, *, text_col: str = "text",
 def vocab_topk(ds, k: int = 100, *, text_col: str = "text", ngram: int = 1):
     """Top-k most frequent tokens: per-batch combine → Sum groupby →
     sort(count desc, token asc) → limit.  Deterministic tie-break."""
-    from ..util import grouped_arrow_aggregate
+    from ..util import grouped_arrow_aggregate, mapped_side
 
-    partial = ds.map_batches(
-        lambda b: token_counts_batch(b, text_col=text_col, ngram=ngram),
-        batch_format="pyarrow", zero_copy_batch=True)
-    totals = grouped_arrow_aggregate(partial, "token",
+    def counts(b: pa.Table) -> pa.Table:
+        return token_counts_batch(b, text_col=text_col, ngram=ngram)
+
+    totals = grouped_arrow_aggregate(mapped_side(ds, counts), "token",
                                      [("partial", "sum", "n")])
     return (totals.sort(["n", "token"], descending=[True, False]).limit(k))
 
@@ -140,7 +154,7 @@ def tokenize_ids_sql(vocab_size: int, *, table: str = "documents",
     return f"""
 WITH lists AS (
   SELECT {id_col},
-         regexp_split_to_array(trim(COALESCE({text_col}, '')),
+         regexp_split_to_array({trim_sql(f"COALESCE({text_col}, '')")},
                                '{WS_PATTERN}') AS toks
   FROM {table}),
 tok AS (
@@ -181,13 +195,11 @@ def doc_frequency(ds, *, text_col: str = "text", id_col: str = "doc_id"):
         # distinct within doc (== globally distinct): vectorized group_by
         return t.group_by(["token", id_col]).aggregate([])
 
-    pair_ds = ds.map_batches(pairs, batch_format="pyarrow",
-                             zero_copy_batch=True)
-    from ..util import grouped_arrow_aggregate
+    from ..util import grouped_arrow_aggregate, mapped_side
     return grouped_arrow_aggregate(
-        pair_ds, "token", [(id_col, "count", "n_docs"),
-                           (id_col, "min", "min_doc"),
-                           (id_col, "max", "max_doc")])
+        mapped_side(ds, pairs), "token", [(id_col, "count", "n_docs"),
+                                          (id_col, "min", "min_doc"),
+                                          (id_col, "max", "max_doc")])
 
 
 def doc_frequency_sql(table: str = "documents", text_col: str = "text",
@@ -198,7 +210,8 @@ SELECT token,
        min({id_col}) AS min_doc, max({id_col}) AS max_doc
 FROM (SELECT {id_col},
              unnest(list_distinct(
-                 regexp_split_to_array(trim({text_col}), '{WS_PATTERN}')))
+                 regexp_split_to_array({trim_sql(text_col)},
+                                       '{WS_PATTERN}')))
                AS token
       FROM {table})
 GROUP BY token"""
@@ -212,9 +225,8 @@ def tfidf_top_term(ds, n_corpus: int, *, text_col: str = "text",
     the driver, TWO all-to-alls total:
 
     1. (doc, token, tf) explode with per-batch Arrow ``group_by`` (globally
-       distinct pairs by construction: a doc lives in one row), tagged
-       ``__part = hash(token) % P``;
-    2. ONE token-partition exchange: every token's pairs co-locate, so the
+       distinct pairs by construction: a doc lives in one row);
+    2. ONE token-keyed hash exchange: every token's pairs co-locate, so the
        document frequency is just the token's RUN LENGTH after an in-
        partition sort — no separate df aggregation, no join back (the
        former df-table + hash-join plan tokenized the corpus twice and
@@ -233,18 +245,12 @@ def tfidf_top_term(ds, n_corpus: int, *, text_col: str = "text",
     import math
 
     import numpy as np
-    from ..util import grouped_arrow_aggregate
 
-    from ..util import cluster_cpus, key_change_mask, partition_ids
+    from ..util import (cluster_cpus, grouped_arrow_aggregate,
+                        hash_exchange, key_change_mask, mapped_side)
 
     if num_partitions is None:
         num_partitions = max(2, min(32, cluster_cpus()))
-
-    in_schema = ds.schema()
-    id_type = in_schema.types[in_schema.names.index(id_col)]
-    text_type = in_schema.types[in_schema.names.index(text_col)]
-    tok_type = (pa.large_string()
-                if pa.types.is_large_string(text_type) else pa.string())
 
     def tf_pairs(b: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(
@@ -253,21 +259,17 @@ def tfidf_top_term(ds, n_corpus: int, *, text_col: str = "text",
         doc = pc.take(b[id_col], pc.list_parent_indices(toks))
         t = pa.table({id_col: doc, "token": flat})
         g = t.group_by([id_col, "token"]).aggregate([("token", "count")])
-        out = pa.table({id_col: g[id_col], "token": g["token"],
-                        "tf": g["token_count"].cast(pa.int64())})
-        return out.append_column(
-            "__part", partition_ids(out["token"], num_partitions))
+        return pa.table({id_col: g[id_col], "token": g["token"],
+                         "tf": g["token_count"].cast(pa.int64())})
 
-    pairs = ds.map_batches(tf_pairs, batch_format="pyarrow",
-                           zero_copy_batch=True)
-
+    pairs, pair_schema = mapped_side(ds, tf_pairs)
+    id_type = pair_schema.field(id_col).type
+    tok_type = pair_schema.field("token").type
     rank_schema = pa.schema([(id_col, id_type), ("__rank", pa.string())])
 
     def score_part(part: pa.Table) -> pa.Table:
-        part = part.drop_columns(["__part"]).sort_by([("token", "ascending")])
+        part = part.sort_by([("token", "ascending")])
         n = part.num_rows
-        if n == 0:
-            return rank_schema.empty_table()
         # df = run length per token ((doc, token) pairs are globally
         # distinct, and ALL of a token's pairs live in this partition)
         change = key_change_mask(part["token"], n)
@@ -283,10 +285,10 @@ def tfidf_top_term(ds, n_corpus: int, *, text_col: str = "text",
         rank = pc.binary_join_element_wise(bits_str, part["token"], "|")
         return pa.table({id_col: part[id_col], "__rank": rank})
 
-    best = grouped_arrow_aggregate(
-        pairs.groupby("__part").map_groups(score_part,
-                                           batch_format="pyarrow"),
-        id_col, [("__rank", "max", "__best")])
+    ranks = hash_exchange([(pairs, pair_schema)], "token", score_part,
+                          rank_schema, num_partitions=num_partitions)
+    best = grouped_arrow_aggregate((ranks, rank_schema), id_col,
+                                   [("__rank", "max", "__best")])
 
     def unpack(b: pa.Table) -> pa.Table:
         import numpy as np
@@ -315,7 +317,7 @@ def tfidf_top_term_sql(n_corpus, table: str = "documents",
 WITH pairs AS (
   SELECT {id_col}, token, CAST(count(*) AS BIGINT) AS tf
   FROM (SELECT {id_col},
-               unnest(regexp_split_to_array(trim({text_col}),
+               unnest(regexp_split_to_array({trim_sql(text_col)},
                                             '{WS_PATTERN}')) AS token
         FROM {table})
   GROUP BY {id_col}, token
@@ -342,13 +344,14 @@ def vocab_topk_sql(k: int = 100, table: str = "documents",
     if ngram == 1:
         return f"""
 SELECT token, CAST(count(*) AS BIGINT) AS n
-FROM (SELECT unnest(regexp_split_to_array(trim({text_col}), '{WS_PATTERN}'))
+FROM (SELECT unnest(regexp_split_to_array({trim_sql(text_col)},
+                                          '{WS_PATTERN}'))
         AS token FROM {table})
 GROUP BY token ORDER BY n DESC, token LIMIT {k}"""
     # adjacent-token n-grams built with list lambdas (no ordinality needed)
     return f"""
 WITH l AS (
-  SELECT regexp_split_to_array(trim({text_col}), '{WS_PATTERN}') AS toks
+  SELECT regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}') AS toks
   FROM {table}
 ),
 g AS (

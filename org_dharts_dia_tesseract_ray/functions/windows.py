@@ -45,7 +45,7 @@ def tumbling_aggregate(ds, *, width_minutes: int = 60, ts_col: str = "ts",
                        key_col: str = "event_type",
                        value_col: str = "value"):
     """Per (window_start, key): count + quantized value sum."""
-    from ..util import grouped_arrow_aggregate
+    from ..util import grouped_arrow_aggregate, mapped_side
 
     width_us = width_minutes * US_PER_MIN
 
@@ -61,8 +61,7 @@ def tumbling_aggregate(ds, *, width_minutes: int = 60, ts_col: str = "ts",
                                  pa.scalar(100.0))).cast(pa.int64()))
 
     agg = grouped_arrow_aggregate(
-        ds.map_batches(prep, batch_format="pyarrow", zero_copy_batch=True),
-        ["window_start", key_col],
+        mapped_side(ds, prep), ["window_start", key_col],
         [(ts_col, "count", "n_events"),
          ("value_c", "sum", "total_value_c")])
 
@@ -127,11 +126,10 @@ def sliding_aggregate(ds, *, width_minutes: int = 60,
             key_col: keys,
         })
 
-    from ..util import grouped_arrow_aggregate
+    from ..util import grouped_arrow_aggregate, mapped_side
     return grouped_arrow_aggregate(
-        ds.map_batches(explode, batch_format="pyarrow",
-                       zero_copy_batch=True),
-        ["window_start", key_col], [(key_col, "count", "n_events")])
+        mapped_side(ds, explode), ["window_start", key_col],
+        [(key_col, "count", "n_events")])
 
 
 def sliding_aggregate_sql(width_minutes: int = 60, slide_minutes: int = 15,
@@ -159,24 +157,30 @@ def sessionize(ds, *, gap_minutes: int = 30, user_col: str = "user_id",
 
     Scale design — hash-partition, NOT per-key ``map_groups``: the key
     (user id) is the canonical high-cardinality column, so one Python call
-    per key is pathological at web scale.  Instead ``__part =
-    hash(key) % P`` is appended as a pure vectorized column, ONE
-    ``groupby(__part)`` shuffle co-locates each key, and every partition is
+    per key is pathological at web scale.  Instead ONE hash exchange
+    (``util.hash_exchange``) co-locates each key, and every partition is
     processed by a SINGLE numpy pass that computes all its keys' sessions
     at once: sort by (key, ts, id), then a session boundary is key-change
     OR gap-exceeded.  Python call count = P (≈ 2×CPUs), independent of key
     cardinality.  Memory bound: one partition per worker — size
     ``num_partitions`` accordingly at scale."""
-    from ..util import default_num_partitions, partition_ids
+    from ..util import hash_exchange, mapped_side
 
     gap_us = gap_minutes * US_PER_MIN
-    P = num_partitions or default_num_partitions()
 
-    def add_part(b: pa.Table) -> pa.Table:
+    def timed(b: pa.Table) -> pa.Table:
         # rows with a null event time are dropped: gap-based session
         # membership is undefined without a timestamp (documented)
-        b = b.filter(pc.is_valid(b[ts_col]))
-        return b.append_column("__part", partition_ids(b[user_col], P))
+        t = b.select([user_col, ts_col, id_col])
+        return t.filter(pc.is_valid(t[ts_col]))
+
+    events, schema = mapped_side(ds, timed)
+    ts_type = schema.field(ts_col).type
+    out_schema = pa.schema([schema.field(user_col),
+                            ("session_no", pa.int64()),
+                            ("n_events", pa.int64()),
+                            ("session_start", ts_type),
+                            ("session_end", ts_type)])
 
     def per_partition(g: pa.Table) -> pa.Table:
         from ..util import key_change_mask
@@ -210,10 +214,8 @@ def sessionize(ds, *, gap_minutes: int = 30, user_col: str = "user_id",
                                    t[ts_col].type),
         })
 
-    parted = ds.map_batches(add_part, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return parted.groupby("__part").map_groups(per_partition,
-                                               batch_format="pyarrow")
+    return hash_exchange([(events, schema)], user_col, per_partition,
+                         out_schema, num_partitions=num_partitions)
 
 
 def sessionize_sql(gap_minutes: int = 30, table: str = "events",
@@ -258,28 +260,16 @@ def throttle(ds, *, keys=("user_id", "event_type"), ts_col: str = "ts",
     P, like every window here."""
     import numpy as np
 
-    from ..util import (as_array, default_num_partitions, ds_arrow_schema,
-                        key_change_mask, partition_ids)
-    P = num_partitions or default_num_partitions()
+    from ..util import (as_array, ds_arrow_schema, hash_exchange,
+                        key_change_mask)
     k1, k2 = keys
     gap_us = min_gap_minutes * US_PER_MIN
 
     in_schema = ds_arrow_schema(ds)
-    cols = [k1, k2, ts_col, id_col]
-    out_schema = pa.schema([in_schema.field(c) for c in cols])
-
-    def add_part(b: pa.Table) -> pa.Table:
-        t = pa.table({c: b[c] for c in cols})
-        return t.append_column(
-            "__part", partition_ids(t[k1], P, extra_cols=[t[k2]]))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow",
-                            zero_copy_batch=True)
+    schema = pa.schema([in_schema.field(c) for c in (k1, k2, ts_col, id_col)])
 
     def finish(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or "__part" not in part.column_names:
-            return out_schema.empty_table()
-        t = part.drop_columns(["__part"]).sort_by(
+        t = part.sort_by(
             [(k1, "ascending"), (k2, "ascending"),
              (ts_col, "ascending"), (id_col, "ascending")])
         n = t.num_rows
@@ -299,8 +289,8 @@ def throttle(ds, *, keys=("user_id", "event_type"), ts_col: str = "ts",
         keep = first | null_delta | (delta > gap_us)
         return t.filter(pa.array(keep))
 
-    return parted.groupby("__part").map_groups(finish,
-                                               batch_format="pyarrow")
+    return hash_exchange([(ds, schema)], [k1, k2], finish, schema,
+                         num_partitions=num_partitions)
 
 
 def throttle_sql(keys=("user_id", "event_type"), ts_col: str = "ts",
@@ -329,33 +319,24 @@ def transition_counts(ds, *, key: str = "user_id",
     ONE hash exchange co-locates each key's events; the per-partition pass
     sorts once, pairs each row with its successor inside the key run
     (vectorized shift + run mask — the LEAD window), and REDUCES to local
-    pair counts, so the final groupby ships at most |labels|² rows per
-    partition."""
+    pair counts, so the final aggregate ships at most |labels|² rows per
+    partition.  That aggregate is hash-partitioned too: Ray's native
+    sort-based groupby compares a null label with a string while
+    splitting blocks and fails."""
     import numpy as np
 
-    from ray.data.aggregate import Sum
-
-    from ..util import (as_array, default_num_partitions, key_change_mask,
-                        partition_ids)
-    P = num_partitions or default_num_partitions()
-    cols = [key, label_col, ts_col, id_col]
-
-    def add_part(b: pa.Table) -> pa.Table:
-        t = pa.table({c: b[c] for c in cols})
-        return t.append_column("__part", partition_ids(t[key], P))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    from ..util import ds_arrow_schema
-    label_type = ds_arrow_schema(ds).field(label_col).type
+    from ..util import (as_array, ds_arrow_schema, grouped_arrow_aggregate,
+                        hash_exchange, key_change_mask)
+    in_schema = ds_arrow_schema(ds)
+    schema = pa.schema([in_schema.field(c)
+                        for c in (key, label_col, ts_col, id_col)])
+    label_type = schema.field(label_col).type
     out_schema = pa.schema([("from_type", label_type),
                             ("to_type", label_type),
                             ("__n", pa.int64())])
 
     def finish(part: pa.Table) -> pa.Table:
-        if part.num_rows == 0 or "__part" not in part.column_names:
-            return out_schema.empty_table()
-        t = part.drop_columns(["__part"]).sort_by(
+        t = part.sort_by(
             [(key, "ascending"), (ts_col, "ascending"),
              (id_col, "ascending")])
         n = t.num_rows
@@ -376,10 +357,12 @@ def transition_counts(ds, *, key: str = "user_id",
                          "to_type": g["to_type"],
                          "__n": g["count_all"].cast(pa.int64())})
 
-    local = parted.groupby("__part").map_groups(finish,
-                                                batch_format="pyarrow")
-    return local.groupby(["from_type", "to_type"]).aggregate(
-        Sum("__n", alias_name="n"))
+    local = hash_exchange([(ds, schema)], key, finish, out_schema,
+                          num_partitions=num_partitions)
+    return grouped_arrow_aggregate((local, out_schema),
+                                   ["from_type", "to_type"],
+                                   [("__n", "sum", "n")],
+                                   num_partitions=num_partitions)
 
 
 def transition_counts_sql(key: str = "user_id",

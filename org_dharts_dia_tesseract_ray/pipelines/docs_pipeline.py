@@ -210,7 +210,8 @@ def _template_sql_expr(template: str, table_alias: str = "") -> str:
 def links_sql(table: str = "documents") -> str:
     """Oracle for extract_links over the wrapped corpus: DuckDB
     regexp_extract_all + parallel unnest replicate the operator's
-    two-split plan (same RE2 engine, same resolved-url CASE)."""
+    two-split plan (same RE2 engine, same resolved-url contract)."""
+    from ..functions.links import resolved_sql
     html = _template_sql_expr(_TEMPLATE)
     return f"""
 WITH p AS (
@@ -225,11 +226,7 @@ WITH p AS (
   FROM e
 )
 SELECT src, pos, href,
-  CASE WHEN href LIKE 'http://%' OR href LIKE 'https://%' THEN href
-       WHEN href LIKE '//%' THEN NULL
-       WHEN href LIKE '/%'
-         THEN regexp_extract(src, '^(https?://[^/]+)', 1) || href
-       ELSE NULL END AS resolved
+  {resolved_sql("src", "href")} AS resolved
 FROM u"""
 
 

@@ -54,9 +54,12 @@ def extract_pages(
     (straggler control, SURVEY.md §4).  Output is identical either way —
     golden-tested — because the extractor is a pure per-row function.
     """
-    ds = apply_sniff(ds)
     if dedup:
+        # before the sniff: the pages schema is then the source's own
+        # (read without executing anything), and the sniff runs on
+        # survivors only
         ds = dedup_pages(ds)
+    ds = apply_sniff(ds)
 
     if not skew_routing:
         return apply_extract(ds, cfg, batch_size=batch_size,

@@ -6,9 +6,9 @@ before extraction.  Design for scale:
 
 1. **per-batch combiner** (``map_batches``): drop within-batch duplicates
    first, shrinking the shuffle input — the partial-aggregation pattern;
-2. a reduce keyed on ``url`` — default is the hash-partitioned vectorized
-   reduce (ONE shuffle, no per-url Python, strict one-row-per-url), with
-   the survivor-index join and per-group reducers kept as alternatives.
+2. ONE hash exchange keyed on ``url`` (``util.hash_exchange``) reduced by
+   the same vectorized kernel per partition — no per-url Python, strict
+   one-row-per-url.
 
 Tie-break is fully deterministic: max ``warc_ts`` (nulls rank lowest, below
 any real timestamp including pre-epoch ones), then max payload length, then
@@ -25,8 +25,7 @@ import hashlib
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..util import (as_array, cluster_cpus, default_num_partitions,
-                    first_per_key, partition_ids)
+from ..util import as_array, first_per_key, hash_exchange, mapped_side
 
 #: non-key columns beyond the payload that participate in the tie-break
 #: digest — rows differing ONLY in text/lang must still pick a
@@ -81,8 +80,6 @@ def _has_full_ties(t: pa.Table) -> bool:
 
 def _keep_latest(batch: pa.Table) -> pa.Table:
     """Vectorized one-row-per-url reducer over an in-memory table."""
-    if "__part" in batch.column_names:
-        batch = batch.drop_columns(["__part"])
     if batch.num_rows <= 1:
         return batch
     nbytes = pc.coalesce(pc.binary_length(batch["html"]).cast(pa.int64()),
@@ -104,129 +101,16 @@ def _keep_latest(batch: pa.Table) -> pa.Table:
     return first_per_key(t, "url").drop_columns(["__nb", "__tsn", "__tsv"])
 
 
-#: bias so the zero-padded decimal encoding of int64 µs is lexicographically
-#: ordered for NEGATIVE (pre-epoch) timestamps too — a raw f"{t:020d}" puts
-#: the sign char first and ranks -1 below -123
-_TS_BIAS = 1 << 63
-
-
-def _rank_key_batch(batch: pa.Table) -> pa.Table:
-    """(url, __rank) — the survivor-ordering tuple packed into ONE max-able
-    fixed-width string: validity flag | biased warc_ts µs | payload bytes |
-    whole-row md5.  Lexicographic max over this string == (non-null ts
-    first, then max ts, max length, max digest) — the same total order the
-    sort-based reducer uses, but now the reduce is a vectorized ``Max``
-    aggregate."""
-    ts = pc.cast(batch["warc_ts"], pa.int64()).to_pylist()
-    lens = pc.coalesce(pc.binary_length(batch["html"]).cast(pa.int64()),
-                       pa.scalar(0, pa.int64())).to_pylist()
-    digs = _row_digests(batch).to_pylist()
-    keys = [
-        f"{int(t is not None)}{(t or 0) + _TS_BIAS:020d}|{ln:012d}|{dg}"
-        for t, ln, dg in zip(ts, lens, digs)
-    ]
-    return pa.table({"url": batch["url"],
-                     "__rank": pa.array(keys, pa.string())})
-
-
-def _partition_reduce(ds, num_partitions: int | None):
-    """Hash-partition by url → ONE vectorized reduce per partition.
-
-    The pattern that replaces per-key ``map_groups``: ``__part =
-    hash(url) % P`` is a pure vectorized column, the shuffle is a single
-    ``groupby(__part)``, and each partition is reduced by one
-    ``_keep_latest`` call (sort + adjacent-compare mask over ALL its urls
-    at once).  Python call count = P, not |urls|.  Memory bound: one
-    partition must fit a worker — size ``num_partitions`` ≈ corpus_bytes /
-    worker_heap at scale."""
-    P = num_partitions or default_num_partitions()
-
-    def add_part(b: pa.Table) -> pa.Table:
-        return b.append_column("__part", partition_ids(b["url"], P))
-
-    parted = ds.map_batches(add_part, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    return parted.groupby("__part").map_groups(_keep_latest,
-                                               batch_format="pyarrow")
-
-
-def dedup_pages(ds, *, combine: bool = True, strategy: str = "partition",
-                num_partitions: int | None = None):
+def dedup_pages(ds, *, num_partitions: int | None = None):
     """pages Dataset → pages Dataset with one row per url.
 
-    ``combine=True`` runs the vectorized per-batch combiner before any
-    shuffle (pure win when duplicates cluster in time).
-
-    ``strategy="partition"`` (default): hash-partition by url + one
-    vectorized reduce per partition — ONE shuffle of the combined stream,
-    zero per-url Python, and a STRICT one-row-per-url guarantee (each url
-    lives entirely inside one partition group).
-
-    ``strategy="join"``: the survivor-index two-pass — pass 1 reduces
-    (url → max rank string) with a vectorized ``Max`` groupby; pass 2
-    re-reads the stream, hash-joins the tiny rank index back and filters.
-    Useful when the combined stream cannot be shuffled whole (e.g. the
-    reduce must avoid moving payloads at all costs and re-reading from
-    storage is cheaper); the join output is finalized with the same
-    hash-partitioned reduce so the one-row-per-url guarantee holds even
-    when max-rank ties straddle join-output block boundaries.
-
-    ``strategy="groups"``: the per-url ``map_groups`` reducer — simplest
-    plan, but one Python call per url; fine up to ~10^6 urls, pathological
-    at web scale.
-
-    Survivor CONTENT is identical between strategies by construction
-    (same (ts, bytes, whole-row digest) total order).
-    """
-    if combine:
-        ds = ds.map_batches(_keep_latest, batch_format="pyarrow",
-                            zero_copy_batch=True)
-    if strategy == "partition":
-        return _partition_reduce(ds, num_partitions)
-    if strategy == "groups":
-        return ds.groupby("url").map_groups(_keep_latest,
-                                            batch_format="pyarrow")
-
-    from ..util import (ds_arrow_schema, grouped_arrow_aggregate,
-                        schema_pinned_join)
-
-    if num_partitions is None:
-        num_partitions = max(2, min(32, cluster_cpus()))
-
-    # pages schema is cheap here (read_parquet metadata / first block);
-    # needed to pin the join against the groupby output's schema-less
-    # empty partitions (see util.schema_pinned_join)
-    pages_schema = ds_arrow_schema(ds)
-    ranked_schema = pages_schema.append(pa.field("__rank", pa.string()))
-
-    ranked = ds.map_batches(
-        lambda b: b.append_column(
-            "__rank", as_array(_rank_key_batch(b)["__rank"])),
-        batch_format="pyarrow", zero_copy_batch=True)
-    best = grouped_arrow_aggregate(
-        ranked.map_batches(lambda b: b.select(["url", "__rank"]),
-                           batch_format="pyarrow", zero_copy_batch=True),
-        "url", [("__rank", "max", "__best")],
-        num_partitions=num_partitions)
-    joined = schema_pinned_join(
-        ranked, best, on=("url",), num_partitions=num_partitions,
-        left_schema=ranked_schema,
-        right_schema=pa.schema([("url", pages_schema.field("url").type),
-                                ("__best", pa.string())]))
-
-    def keep_best(b: pa.Table) -> pa.Table:
-        t = b.filter(pc.equal(b["__rank"], b["__best"]))
-        return t.drop_columns(["__rank", "__best"])
-
-    survivors = joined.map_batches(keep_best, batch_format="pyarrow",
-                                   zero_copy_batch=True)
-    # max-rank ties are bit-identical by construction (the rank embeds the
-    # whole-row digest), but identical copies can still straddle an output
-    # block boundary inside a join partition — the partitioned reduce
-    # restores the strict guarantee without any per-url Python
-    return _partition_reduce(survivors, num_partitions)
-
-
-def exact_dedup_sql_note() -> None:  # pragma: no cover - doc anchor
-    """The harness oracle for this stage is ``events_latest_per_user`` (the
-    same keep-latest-per-key semantics on the driver's events table)."""
+    The vectorized per-batch combiner runs first (pure win when
+    duplicates cluster in time), then ONE hash exchange on url reduces
+    each partition with the same kernel: Python call count = P, not
+    |urls|, and a STRICT one-row-per-url guarantee (each url lives
+    entirely inside one partition).  Memory bound: one partition must fit
+    a worker — size ``num_partitions`` ≈ corpus_bytes / worker_heap at
+    scale."""
+    combined, schema = mapped_side(ds, _keep_latest)
+    return hash_exchange([(combined, schema)], "url", _keep_latest, schema,
+                         num_partitions=num_partitions)

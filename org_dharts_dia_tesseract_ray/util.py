@@ -168,7 +168,7 @@ def partition_ids(col, num_partitions: int, *, extra_cols=()) -> pa.Array:
     """Deterministic partition id (int32) for a key column (plus optional
     further key columns for composite keys) — the building block of the
     hash-partition → per-partition-vectorized-pass pattern that replaces
-    per-key ``map_groups`` reducers and powers :func:`schema_pinned_join`."""
+    per-key ``map_groups`` reducers and powers :func:`hash_exchange`."""
     import numpy as np
     h = _col_hash64(col)
     for c in extra_cols:
@@ -176,6 +176,113 @@ def partition_ids(col, num_partitions: int, *, extra_cols=()) -> pa.Array:
             h = mix64(h * np.uint64(1099511628211) + _col_hash64(c))
     return pa.array((h % np.uint64(num_partitions)).astype(np.int32),
                     pa.int32())
+
+
+def hash_exchange(sides, keys, reduce, out_schema: pa.Schema, *,
+                  num_partitions=None):
+    """THE hash exchange: co-partition one or more keyed datasets on
+    ``hash(keys) % P`` in ONE sort-based ``groupby(__part).map_groups``
+    barrier and reduce each partition with one vectorized call — Python
+    call count = P, independent of key cardinality.  Every keyed reducer
+    in the package (aggregates, joins, co-shuffles, per-key windows,
+    dedup winners) is a ``reduce`` over this plan; the tagged-union
+    co-shuffle of several inputs is the plan of "Joins over UNION ALL
+    Queries in Teradata" (SIGMOD 2018).
+
+    ``sides``: list of ``(dataset, schema)``.  Each side is projected to
+    its pinned schema (never derived by executing the input) and
+    null-padded into one union layout; a column shared by several sides
+    takes the type of the first side that has it (so a later side's key
+    columns are cast to the first side's key types).  With two or more
+    sides each row is tagged ``__side``.  ``keys``: one column name or a
+    list, co-hashed through :func:`partition_ids`.
+
+    ``reduce(*tables) -> pa.Table`` receives one table per side, every one
+    typed from the layout even when its side has no rows in the partition.
+    ``__part``/``__side`` never reach it.  Ray hands empty shuffle
+    partitions to ``map_groups`` as zero-COLUMN tables; those become
+    ``out_schema.empty_table()`` without calling ``reduce``.  An empty
+    input never reaches ``map_groups`` at all, so one sentinel row in a
+    group of its own (``__part`` = -1) rides every exchange and comes out
+    as ``out_schema.empty_table()``: the result is typed even then.  It
+    enters BEFORE the exchange because a typed empty table unioned AFTER
+    it stops Ray from fusing the reduce with the caller's next
+    ``map_batches`` — measured ~10% slower over the oracle suite's
+    chained exchanges.  The engine stays the sort shuffle: Ray's
+    ``HASH_SHUFFLE`` measured ~17× slower on the same 1.5 M-row reduce
+    (1 CPU, P=32)."""
+    import numpy as np
+    import ray.data
+
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    P = num_partitions or default_num_partitions()
+    layout = {}
+    for _, schema in sides:
+        for f in schema:
+            layout.setdefault(f.name, f.type)
+    names = [schema.names for _, schema in sides]
+    tagged = len(sides) > 1
+
+    def tagger(side: int):
+        have = set(names[side])
+
+        def tag(b: pa.Table) -> pa.Table:
+            n = b.num_rows
+            cols = {}
+            for name, typ in layout.items():
+                if name not in have:
+                    cols[name] = pa.nulls(n, typ)
+                else:
+                    col = b[name]
+                    cols[name] = col if col.type == typ else col.cast(typ)
+            if tagged:
+                cols["__side"] = pa.array(np.full(n, side, np.int8))
+            cols["__part"] = partition_ids(
+                cols[keys[0]], P, extra_cols=[cols[k] for k in keys[1:]])
+            return pa.table(cols)
+
+        return tag
+
+    sentinel = {name: pa.nulls(1, typ) for name, typ in layout.items()}
+    if tagged:
+        sentinel["__side"] = pa.array([-1], pa.int8())
+    sentinel["__part"] = pa.array([-1], pa.int32())
+    unioned = ray.data.from_arrow(pa.table(sentinel)).union(*[
+        ds.map_batches(tagger(i), batch_format="pyarrow",
+                       zero_copy_batch=True)
+        for i, (ds, _) in enumerate(sides)])
+
+    def per_part(g: pa.Table) -> pa.Table:
+        if g.num_rows == 0 or "__part" not in g.column_names \
+                or g["__part"][0].as_py() < 0:
+            return out_schema.empty_table()
+        if not tagged:
+            return reduce(g.select(names[0]))
+        side = np.asarray(g["__side"])
+        return reduce(*[g.filter(pa.array(side == i)).select(names[i])
+                        for i in range(len(sides))])
+
+    return unioned.groupby("__part").map_groups(per_part,
+                                                batch_format="pyarrow")
+
+
+def exchange_side(ds):
+    """A ``(dataset, schema)`` side for :func:`hash_exchange`: a pair
+    passes through, a bare Dataset's schema is read with ``ds.schema()``.
+    That read executes the input's first block when Ray cannot infer the
+    schema (any ``map_batches`` output) and finds none on an empty one,
+    so pass the pair whenever the schema is known statically (see
+    :func:`mapped_side`)."""
+    return ds if isinstance(ds, tuple) else (ds, ds_arrow_schema(ds))
+
+
+def mapped_side(ds, fn):
+    """``(ds.map_batches(fn), schema)`` — the exchange side of a per-batch
+    pre-pass (combiner, explode, projection).  The schema is ``fn``
+    applied to the input's typed empty table, so nothing executes to
+    learn it; ``fn`` must map an empty table to its usual output types."""
+    return (ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True),
+            fn(ds_arrow_schema(ds).empty_table()).schema)
 
 
 def grouped_arrow_aggregate(ds, keys, aggs, *, num_partitions=None):
@@ -188,34 +295,29 @@ def grouped_arrow_aggregate(ds, keys, aggs, *, num_partitions=None):
     Low-cardinality groupbys (≤ hundreds of groups) keep the native form
     — the sort is trivial there and the output blocks are tiny.
 
-    ``keys``: str or list of key column names (co-hashed for composite
-    keys; every occurrence of a key lands in one partition so per-
-    partition results are globally exact).  ``aggs``: list of
-    ``(col, fn, out_name)`` with ``fn`` an Arrow group_by aggregation
-    ("sum" | "min" | "max" | "count" | …).  Output columns: keys +
-    out_names.  The output of an empty input is an EMPTY DATASET WITH NO
-    SCHEMA — pin downstream (schema_pinned_join does; a bare consumer
-    should union a typed empty table)."""
+    ``ds``: a Dataset or a ``(dataset, schema)`` pair (see
+    :func:`exchange_side`).  ``keys``: str or list of key column names
+    (co-hashed for composite keys; every occurrence of a key lands in one
+    partition so per-partition results are globally exact).  ``aggs``:
+    list of ``(col, fn, out_name)`` with ``fn`` an Arrow group_by
+    aggregation ("sum" | "min" | "max" | "count" | …).  Output columns:
+    keys + out_names, typed as Arrow types them — also on empty input.
+    Only the key and aggregated columns cross the exchange."""
+    ds, schema = exchange_side(ds)
     keys = [keys] if isinstance(keys, str) else list(keys)
-    P = num_partitions or default_num_partitions()
+    used = dict.fromkeys(keys + [col for col, _, _ in aggs])
+    schema = pa.schema([schema.field(c) for c in used])
 
-    def add_part(b: pa.Table) -> pa.Table:
-        return b.append_column(
-            "__part", partition_ids(b[keys[0]], P,
-                                    extra_cols=[b[k] for k in keys[1:]]))
-
-    def reduce_part(g: pa.Table) -> pa.Table:
-        t = g.drop_columns(["__part"])
+    def reduce(t: pa.Table) -> pa.Table:
         c = t.group_by(keys).aggregate([(col, fn) for col, fn, _ in aggs])
         cols = {k: c[k] for k in keys}
         for col, fn, out in aggs:
             cols[out] = c[f"{col}_{fn}"]
         return pa.table(cols)
 
-    return (ds.map_batches(add_part, batch_format="pyarrow",
-                           zero_copy_batch=True)
-            .groupby("__part").map_groups(reduce_part,
-                                          batch_format="pyarrow"))
+    return hash_exchange([(ds, schema)], keys, reduce,
+                         reduce(schema.empty_table()).schema,
+                         num_partitions=num_partitions)
 
 
 def count_combiner(key: str, out: str = "__n"):
@@ -233,75 +335,37 @@ def count_combiner(key: str, out: str = "__n"):
 def keyed_coshuffle(left, right, key: str, left_schema: pa.Schema,
                     right_schema: pa.Schema, merge, *,
                     num_partitions=None):
-    """ONE-exchange tagged-union co-shuffle of two keyed datasets.
+    """ONE-exchange tagged-union co-shuffle of two keyed datasets: each
+    partition's two sides are handed to ``merge(left_part: pa.Table,
+    right_part: pa.Table) -> pa.Table`` — :func:`hash_exchange` with two
+    sides, for merges that are NOT a relational join (span stripping,
+    positional reassembly).  It replaces the groupby-then-join chain's
+    two barriers with one (measured ~2 s fixed wall per extra barrier at
+    any data size).
 
-    Both sides are projected to their pinned schemas, null-padded into a
-    shared union layout, tagged, hash-partitioned on ``key`` in a single
-    exchange, and each partition's two sides are handed to
-    ``merge(left_part: pa.Table, right_part: pa.Table) -> pa.Table`` —
-    the generalization of :func:`schema_pinned_join` for merges that are
-    NOT a relational join (span stripping, positional reassembly).  It
-    replaces the groupby-then-join chain's two barriers with one
-    (measured ~2 s fixed wall per extra barrier at any data size).
-
-    The key column must carry the same type in both schemas.  Empty
-    partitions never reach ``merge`` (Ray skips them), so a caller whose
-    output can be empty overall should union a typed empty table — the
-    repo's standard schema pin."""
+    The key column must carry the same type in both schemas.  ``merge``
+    must accept typed empty tables (a side with no rows in a partition,
+    and once at plan time to learn the output schema, which pins the
+    result's schema even on empty input)."""
     key_field = left_schema.field(key)
     if right_schema.field(key).type != key_field.type:
         raise TypeError(
             f"key {key!r} type mismatch: {key_field.type} vs "
             f"{right_schema.field(key).type}")
-    left_names = [f.name for f in left_schema]
-    right_names = [f.name for f in right_schema]
     # a shared non-key name is fine when the types agree (the side tag
     # keeps the rows apart), but a TYPE mismatch would silently cast one
     # side through the other's type in the union — reject it up front,
     # like schema_pinned_join's collision check
     for f in right_schema:
-        if f.name != key and f.name in left_names \
+        if f.name != key and f.name in left_schema.names \
                 and left_schema.field(f.name).type != f.type:
             raise TypeError(
                 f"shared non-key column {f.name!r} type mismatch: "
                 f"{left_schema.field(f.name).type} vs {f.type}")
-    union_fields = list(left_schema) + [
-        f for f in right_schema if f.name not in left_names]
-    P = num_partitions or default_num_partitions()
-
-    def tagger(schema: pa.Schema, side: int):
-        have = {f.name for f in schema}
-
-        def tag(b: pa.Table) -> pa.Table:
-            import numpy as np
-            n = b.num_rows
-            cols = {}
-            for f in union_fields:
-                cols[f.name] = (b[f.name].cast(f.type) if f.name in have
-                                else pa.nulls(n, f.type))
-            t = pa.table(cols)
-            t = t.append_column(
-                "__side", pa.array(np.full(n, side, np.int8), pa.int8()))
-            return t.append_column("__part", partition_ids(t[key], P))
-
-        return tag
-
-    unioned = (left.map_batches(tagger(left_schema, 0),
-                                batch_format="pyarrow",
-                                zero_copy_batch=True)
-               .union(right.map_batches(tagger(right_schema, 1),
-                                        batch_format="pyarrow",
-                                        zero_copy_batch=True)))
-
-    def part_merge(g: pa.Table) -> pa.Table:
-        import numpy as np
-        side = np.asarray(g["__side"], dtype=np.int8)
-        lt = g.select(left_names).filter(pa.array(side == 0))
-        rt = g.select(right_names).filter(pa.array(side == 1))
-        return merge(lt, rt)
-
-    return unioned.groupby("__part").map_groups(part_merge,
-                                                batch_format="pyarrow")
+    out_schema = merge(left_schema.empty_table(),
+                       right_schema.empty_table()).schema
+    return hash_exchange([(left, left_schema), (right, right_schema)], key,
+                         merge, out_schema, num_partitions=num_partitions)
 
 
 def ragged_arange(lens):
@@ -341,16 +405,12 @@ def schema_pinned_join(left, right, *, on, num_partitions: int,
     repair this — Ray never invokes the UDF on empty blocks (verified), so
     there is no hook to re-type them.
 
-    Plan shape (the same union pattern as :func:`~.functions.joins.asof_join`):
-
-    1. both sides are schema-aligned (nulls for the other side's columns),
-       tagged ``__side`` and ``__part = hash(keys) % P``, and unioned — ONE
-       co-shuffle instead of the join operator's two-sided exchange with
-       per-partition aggregator actors;
-    2. each partition is joined LOCALLY by Acero (``pa.Table.join``,
-       single-threaded — parallelism comes from partitions) with both
-       schemas known statically, so empty/one-sided partitions produce a
-       correctly-typed empty table instead of a crash.
+    Plan shape: one :func:`hash_exchange` of both sides (ONE co-shuffle
+    instead of the join operator's two-sided exchange with per-partition
+    aggregator actors), then each partition is joined LOCALLY by Acero
+    (``pa.Table.join``, single-threaded — parallelism comes from
+    partitions) with both schemas known statically, so empty/one-sided
+    partitions produce a correctly-typed empty table instead of a crash.
 
     ``left_schema`` / ``right_schema`` are the statically-known schemas
     (never derived by executing the inputs).  Non-key column names must be
@@ -370,57 +430,23 @@ def schema_pinned_join(left, right, *, on, num_partitions: int,
     - ``full outer`` — every row from both sides; unmatched rows carry
       nulls in the other side's columns.
     """
-    import numpy as np
-
     if join_type not in ("inner", "left outer", "right outer", "left semi",
                          "left anti", "full outer"):
         raise NotImplementedError(f"unsupported join_type: {join_type!r}")
-    on = tuple(on)
+    on = list(on)
     lnames = list(left_schema.names)
     ltypes = {n: left_schema.field(n).type for n in lnames}
     r_only = ([] if join_type in ("left anti", "left semi")
               else [n for n in right_schema.names if n not in on])
-    rtypes = {n: right_schema.field(n).type for n in right_schema.names}
     overlap = (set(lnames) - set(on)) & set(r_only)
     if overlap:
         raise ValueError(f"non-key column collision: {sorted(overlap)}")
-    out_schema = pa.schema(
-        [left_schema.field(n) for n in lnames]
-        + [right_schema.field(n) for n in r_only])
-    key0, keyrest = on[0], on[1:]
-    P = num_partitions
+    rtypes = {n: right_schema.field(n).type for n in right_schema.names}
+    right_side = pa.schema([right_schema.field(n) for n in on + r_only])
+    out_schema = pa.schema(list(left_schema)
+                           + [right_schema.field(n) for n in r_only])
 
-    def tag_left(b: pa.Table) -> pa.Table:
-        cols = {n: b[n] for n in lnames}
-        for n in r_only:
-            cols[n] = pa.nulls(b.num_rows, rtypes[n])
-        cols["__side"] = pa.array(np.zeros(b.num_rows, np.int8))
-        cols["__part"] = partition_ids(
-            b[key0], P, extra_cols=[b[k] for k in keyrest])
-        return pa.table(cols)
-
-    def tag_right(b: pa.Table) -> pa.Table:
-        cols = {}
-        for n in lnames:
-            cols[n] = (b[n].cast(ltypes[n]) if n in on
-                       else pa.nulls(b.num_rows, ltypes[n]))
-        for n in r_only:
-            cols[n] = b[n]
-        cols["__side"] = pa.array(np.ones(b.num_rows, np.int8))
-        cols["__part"] = partition_ids(
-            cols[key0], P, extra_cols=[cols[k] for k in keyrest])
-        return pa.table(cols)
-
-    unioned = (left.map_batches(tag_left, batch_format="pyarrow",
-                                zero_copy_batch=True)
-               .union(right.map_batches(tag_right, batch_format="pyarrow",
-                                        zero_copy_batch=True)))
-
-    def merge(part: pa.Table) -> pa.Table:
-        import numpy as _np
-        side = _np.asarray(part["__side"])
-        lt = part.filter(pa.array(side == 0)).select(lnames)
-        rt = part.filter(pa.array(side == 1)).select(list(on) + r_only)
+    def merge(lt: pa.Table, rt: pa.Table) -> pa.Table:
         if lt.num_rows == 0:
             if join_type in ("full outer", "right outer") and rt.num_rows > 0:
                 # right-only partition: keys (already left-typed) + right
@@ -440,12 +466,11 @@ def schema_pinned_join(left, right, *, on, num_partitions: int,
             for n in r_only:       # outer: typed all-null right side
                 lt = lt.append_column(n, pa.nulls(lt.num_rows, rtypes[n]))
             return lt.select(out_schema.names)
-        out = lt.join(rt, keys=list(on), join_type=join_type,
-                      use_threads=False)
+        out = lt.join(rt, keys=on, join_type=join_type, use_threads=False)
         return out.select(out_schema.names)
 
-    return unioned.groupby("__part").map_groups(merge,
-                                                batch_format="pyarrow")
+    return hash_exchange([(left, left_schema), (right, right_side)], on,
+                         merge, out_schema, num_partitions=num_partitions)
 
 
 def default_num_partitions(per_cpu: int = 2, lo: int = 8,

@@ -1771,6 +1771,37 @@ def test_unit_dedup_keep_first_global(ray_session):
         pdt.assert_frame_equal(out, want, check_dtype=False)
 
 
+def test_unit_dedup_rejects_repeated_doc_id(ray_session):
+    """unit_dedup's unique-id contract is enforced: two rows sharing one
+    doc_id raise ValueError instead of silently misassigning units."""
+    import ray.data
+    from org_dharts_dia_tesseract_ray.functions.unitdedup import unit_dedup
+    t = pa.table({"doc_id": pa.array([7, 7], pa.int64()),
+                  "text": ["shared line\nfirst", "shared line\nsecond"]})
+    with pytest.raises(Exception, match="doc_id is not unique"):
+        unit_dedup(ray.data.from_arrow(t), num_partitions=2).take_all()
+
+
+def test_doc_frequency_edge_whitespace_matches_oracle(ray_session):
+    """Text that starts or ends with newlines/tabs tokenizes identically
+    in the operator (``utf8_trim_whitespace``) and the DuckDB oracle
+    (``trim_sql``): no empty token in either."""
+    import ray.data
+    from org_dharts_dia_tesseract_ray.functions.vocab import (
+        doc_frequency, doc_frequency_sql)
+    t = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
+                  "text": ["\nalpha beta\n", "\t beta gamma \n\n",
+                           "gamma\u3000"]})
+    got = sorted(tuple(r.values()) for r in doc_frequency(
+        ray.data.from_arrow(t)).select_columns(
+            ["token", "n_docs", "min_doc", "max_doc"]).take_all())
+    con = duckdb.connect()
+    con.register("documents", t)
+    want = sorted(con.execute(doc_frequency_sql()).fetchall())
+    assert got == want
+    assert [r[0] for r in want] == ["alpha", "beta", "gamma"]
+
+
 # ---------------------------------------------------------------------------
 # Bloom-filter incremental dedup
 
@@ -2710,10 +2741,12 @@ def test_config_dump_variables():
 def test_extract_links_contract_edge_cases():
     """Resolution + regex-parity contract of the link extractor: absolute
     pass-through, root-relative resolution, protocol-relative/mailto/
-    relative -> NULL resolved, unterminated href dropped (RE2 parity),
-    null payload -> no rows, invalid utf-8 degrades instead of raising."""
+    relative -> NULL resolved, root-relative under a non-http source ->
+    NULL resolved, unterminated href dropped (RE2 parity), null payload
+    -> no rows, invalid utf-8 degrades instead of raising.  The oracles'
+    ``resolved_sql`` agrees with the operator on every edge row."""
     from org_dharts_dia_tesseract_ray.functions.links import (
-        extract_links_batch)
+        extract_links_batch, resolved_sql)
 
     html = (b'<a href="https://other.example/x">a</a>'
             b'<a href="/rel">b</a>'
@@ -2723,18 +2756,24 @@ def test_extract_links_contract_edge_cases():
             b'<a href="unterminated')
     t = pa.table({
         "url": pa.array(["http://src.example:8080/page", "http://n.example/",
-                         "http://b.example/"], pa.string()),
-        "html": pa.array([html, None, b"<p>\xff\xfe no links</p>"],
-                         pa.binary())})
+                         "http://b.example/", "ftp://x/y"], pa.string()),
+        "html": pa.array([html, None, b"<p>\xff\xfe no links</p>",
+                          b'<a href="/rel">f</a>'], pa.binary())})
     got = extract_links_batch(t).to_pylist()
     assert [r["href"] for r in got] == [
         "https://other.example/x", "/rel", "//cdn.example/y",
-        "mailto:x@example.com", "relative/path"]
-    assert [r["pos"] for r in got] == [0, 1, 2, 3, 4]
+        "mailto:x@example.com", "relative/path", "/rel"]
+    assert [r["pos"] for r in got] == [0, 1, 2, 3, 4, 0]
     assert [r["resolved"] for r in got] == [
         "https://other.example/x", "http://src.example:8080/rel",
-        None, None, None]
-    assert all(r["src"] == "http://src.example:8080/page" for r in got)
+        None, None, None, None]
+    assert [r["src"] for r in got] == \
+        ["http://src.example:8080/page"] * 5 + ["ftp://x/y"]
+    con = duckdb.connect()
+    con.register("edges", pa.Table.from_pylist(got))
+    want = con.execute(f"SELECT {resolved_sql('src', 'href')} FROM edges"
+                       ).fetchall()
+    assert [r[0] for r in want] == [r["resolved"] for r in got]
 
 
 def test_extract_links_matches_sql_oracle_and_meta(ray_session):

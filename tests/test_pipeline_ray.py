@@ -135,12 +135,14 @@ def test_write_then_read_roundtrip(ray_session, tiny_path, tmp_path):
 
 
 def test_dedup_strategies_identical(ray_session):
-    """join-based (web-scale) and map_groups dedup pick the SAME survivors,
-    including on full (url, ts, length) ties."""
+    """The distributed dedup (combiner + hash exchange over 2 partitions)
+    and the in-memory kernel over the whole table pick the SAME
+    survivors, including on full (url, ts, length) ties."""
     import pyarrow as pa
     import ray.data
 
-    from org_dharts_dia_tesseract_ray.stages.dedup import dedup_pages
+    from org_dharts_dia_tesseract_ray.stages.dedup import (_keep_latest,
+                                                           dedup_pages)
 
     ts = pa.array([100, 200, 200, 50, 50, 50], pa.timestamp("us", tz="UTC"))
     t = pa.table({
@@ -152,10 +154,9 @@ def test_dedup_strategies_identical(ray_session):
         "lang": pa.array(["en"] * 6, pa.string()),
     })
     ds = ray.data.from_arrow(t).repartition(3)
-    a = (dedup_pages(ds, strategy="join", num_partitions=2).to_pandas()
+    a = (dedup_pages(ds, num_partitions=2).to_pandas()
          .sort_values("url").reset_index(drop=True))
-    b = (dedup_pages(ds, strategy="groups").to_pandas()
-         .sort_values("url").reset_index(drop=True))
+    b = _keep_latest(t).to_pandas().sort_values("url").reset_index(drop=True)
     assert a["url"].tolist() == ["a", "b", "c"] == b["url"].tolist()
     assert a["html"].tolist() == b["html"].tolist()
     # url 'a': max ts wins, tie between newer-x/newer-y broken by digest;
@@ -165,8 +166,8 @@ def test_dedup_strategies_identical(ray_session):
 
 def test_dedup_join_collapses_identical_copies(ray_session):
     """Bit-identical (url, ts, html) rows in DIFFERENT blocks must collapse
-    to one row under the join strategy (regression: both used to survive
-    the max-rank filter)."""
+    to one row (regression: both used to survive the former join
+    strategy's max-rank filter)."""
     import pyarrow as pa
     import ray.data
 
@@ -183,7 +184,7 @@ def test_dedup_join_collapses_identical_copies(ray_session):
     # repartition(3) puts the identical copies in separate blocks, so the
     # per-batch combiner cannot collapse them before the shuffle
     ds = ray.data.from_arrow(t).repartition(3)
-    out = dedup_pages(ds, strategy="join", num_partitions=2).to_pandas()
+    out = dedup_pages(ds, num_partitions=2).to_pandas()
     assert sorted(out["url"].tolist()) == ["a", "b"]
 
 
