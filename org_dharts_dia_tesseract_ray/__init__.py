@@ -7,7 +7,7 @@ engine, see /root/reference), re-expressed Ray-Data-first:
 * one ``ray.data.Dataset`` per logical table, Arrow blocks throughout,
 * the reference's per-document recognition loop (ImageAnalyzerFactory →
   ImageAnalyzer → LayoutIterator/RecognitionResultsIterator) becomes a
-  stateful actor-pool ``map_batches`` stage (:mod:`.stages.extractor`),
+  task-pool ``map_batches`` stage (:mod:`.stages.extractor`),
 * the cursor algebra (LayoutIterator.java) becomes a flattened ``spans``
   table with character offsets (:mod:`.extract.html_extract`),
 * parallelism, retries, backpressure and spilling come from Ray Data's

@@ -4,10 +4,10 @@ The reference configures the engine with a builder of psm/ppi plus a freeform
 ``Map<String,String>`` of engine variables
 (src/org/dharts/dia/tesseract/PageConfigurationData.java:35-131,
 ``TesseractHandle.setVariable`` TesseractHandle.java:168-177).  Here the whole
-configuration is a frozen dataclass fixed at actor construction time, which
-designs out the reference's global-parameter thread hazard
-(ImageAnalyzerFactory.java:106-116): a Ray actor pool never mutates shared
-engine state after init.
+configuration is a frozen dataclass fixed when the extract stage is built,
+which designs out the reference's global-parameter thread hazard
+(ImageAnalyzerFactory.java:106-116): no worker mutates shared engine state
+after that.
 """
 
 from __future__ import annotations
@@ -41,8 +41,8 @@ class BlockRuleContext:
 #: ``BlockType.NOISE`` to drop it, or a content type to rescue a paragraph
 #: the built-in heuristics dropped), or None to keep the default.  Rules
 #: are applied in registration order; each sees the ORIGINAL default type.
-#: Rules must be pure and deterministic — they run inside the extraction
-#: actors under the byte-identity gate.
+#: Rules must be pure and deterministic — they run inside the extract
+#: tasks under the byte-identity gate.
 BlockRule = "Callable[[BlockRuleContext], str | None]"
 
 
@@ -66,7 +66,7 @@ class ExtractConfig:
     """Deterministic extraction parameters.
 
     Every field must be hashable/serializable — the config rides to the
-    actors inside the ``map_batches`` fn-constructor args.
+    extract tasks inside the ``map_batches`` UDF.
     """
 
     mode: str = Mode.AUTO
@@ -88,11 +88,6 @@ class ExtractConfig:
     long_para_max_link_density: float = 0.65
     # Emit spans below block level (para/line/word rows).
     emit_word_spans: bool = True
-
-    # Fast regex tokenizer front-end (html.parser-equivalent event stream,
-    # parity-tested; falls back to the stdlib parser per document on any
-    # internal error).  False forces the stdlib front-end everywhere.
-    fast_parser: bool = True
 
     # User-supplied BlockRule callables (see :class:`BlockRuleContext`) —
     # the PageItemFactory/CloseListener-analogue extension point.  A tuple

@@ -40,7 +40,7 @@ DEFAULT_CONFIG = ExtractConfig()
 
 
 def sniff_kind(payload: bytes | None) -> str:
-    """Cheap payload router — also exposed vectorized in stages/sniff.py."""
+    """Cheap payload router, run per row by :func:`extract_one`."""
     if payload is None or not payload.strip():
         return PayloadKind.EMPTY
     if payload.lstrip()[:5] == b"%PDF-":

@@ -150,7 +150,7 @@ class _SegmentingParser(HTMLParser):
     """Single-pass DOM walker producing the flat paragraph stream.
 
     Plays the role of Tesseract's textord/page-segmentation pass; one instance
-    per document, reset per document (the extractor actor reuses nothing
+    per document, reset per document (the extract stage reuses nothing
     across documents — the deliberate opposite of the reference's adaptive
     classifier, TessAPI.java:536, which we do NOT replicate because
     cross-document mutable state breaks determinism).
@@ -832,15 +832,12 @@ def _feed_stdlib(parser: _SegmentingParser, text: str) -> None:
 def segment_html(text: str, cfg: ExtractConfig) -> list[_Block]:
     """Parse + classify + merge: HTML string → ordered block list."""
     parser = _SegmentingParser(cfg.selector_tag)
-    if cfg.fast_parser:
-        try:
-            _feed_fast(parser, text)
-        except Exception:
-            # any internal tokenizer error → redo the document on the
-            # stdlib front-end (same event semantics, slower)
-            parser = _SegmentingParser(cfg.selector_tag)
-            _feed_stdlib(parser, text)
-    else:
+    try:
+        _feed_fast(parser, text)
+    except Exception:
+        # any internal tokenizer error → redo the document on the
+        # stdlib front-end (same event semantics, slower)
+        parser = _SegmentingParser(cfg.selector_tag)
         _feed_stdlib(parser, text)
 
     paras = [p for p in parser.paras if p.in_selector]

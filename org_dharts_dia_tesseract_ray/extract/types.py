@@ -67,7 +67,7 @@ class BlockType:
 
 
 class PayloadKind:
-    """Routing tag for the payload sniffer (stages/sniff.py)."""
+    """Routing tag for the payload sniffer (``extract.api.sniff_kind``)."""
 
     HTML = "html"
     PDF = "pdf"

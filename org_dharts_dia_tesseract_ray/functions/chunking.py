@@ -29,7 +29,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import ragged_arange
-from .vocab import WS_PATTERN
+from .vocab import WS_PATTERN, trim_sql
 
 
 def chunk_documents(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -82,7 +82,7 @@ def chunk_documents_sql(*, id_col: str = "doc_id", text_col: str = "text",
     return f"""
 WITH t AS (
   SELECT {id_col},
-         regexp_split_to_array(trim({text_col}), '\\s+') AS toks
+         regexp_split_to_array({trim_sql(text_col)}, '\\s+') AS toks
   FROM {table} WHERE {text_col} IS NOT NULL),
 c AS (SELECT {id_col}, toks, len(toks) AS n,
              1 + CASE WHEN len(toks) > {w}

@@ -172,8 +172,9 @@ class MinHasher:
 #: per-worker-process MinHasher cache for task-mode execution — state still
 #: built once per worker, but scheduled as plain tasks: the permutation
 #: table is CHEAP state, and the actor-pool path costs ~2× with high
-#: startup variance on this workload (measured round 2/3; same finding as
-#: stages/extractor.apply_extract — actor pools are for EXPENSIVE state)
+#: startup variance on this workload (measured round 2/3; the extract stage
+#: runs as plain tasks for the same reason — actor pools are for EXPENSIVE
+#: state)
 _MINHASHERS: dict = {}
 
 

@@ -34,6 +34,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from .text_stats import WS_PATTERN
+from .vocab import trim_sql
 
 
 def build_unigram_model(ds, *, vocab_size: int = 65536,
@@ -151,7 +152,7 @@ def bigram_score_sql(vocab_size: int, *, table: str = "documents",
     return f"""
 WITH l AS (
   SELECT {id_col},
-         regexp_split_to_array(trim({text_col}), '{WS_PATTERN}') AS toks
+         regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}') AS toks
   FROM {table}),
 g AS (
   SELECT {id_col},
@@ -184,7 +185,7 @@ def unigram_score_sql(vocab_size: int = 65536, *,
     return f"""
 WITH tok AS (
   SELECT {id_col},
-         unnest(regexp_split_to_array(trim({text_col}), '{WS_PATTERN}'))
+         unnest(regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}'))
            AS token
   FROM {table}),
 cnt AS (

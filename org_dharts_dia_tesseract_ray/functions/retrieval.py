@@ -47,6 +47,7 @@ import pyarrow.compute as pc
 
 from ..util import grouped_arrow_aggregate, ragged_arange
 from .text_stats import WS_PATTERN
+from .vocab import trim_sql
 
 K1_DEFAULT = 1.2
 B_DEFAULT = 0.75
@@ -185,7 +186,7 @@ def bm25_topk_sql(queries: list[str], *, k: int = 10,
 WITH qt(query_id, term) AS (VALUES {pairs}),
 tok AS (
   SELECT {id_col},
-         unnest(regexp_split_to_array(trim({text_col}), '{WS_PATTERN}'))
+         unnest(regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}'))
            AS term
   FROM {table} WHERE {text_col} IS NOT NULL),
 lens AS (SELECT {id_col}, CAST(count(*) AS BIGINT) AS len

@@ -63,7 +63,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import _string_hash64
-from .vocab import WS_PATTERN
+from .vocab import WS_PATTERN, trim_sql
 
 #: FNV-64 prime — the same multiplier the shared string hash uses.
 _M = np.uint64(1099511628211)
@@ -454,10 +454,10 @@ def _gram_cte(w: int, table: str, text_col: str, id_col: str) -> str:
     return f"""
 toks AS (
   SELECT {id_col},
-         unnest(regexp_split_to_array(trim({text_col}), '{WS_PATTERN}'))
+         unnest(regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}'))
            AS tok,
          CAST(generate_subscripts(
-              regexp_split_to_array(trim({text_col}), '{WS_PATTERN}'), 1)
+              regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}'), 1)
            AS BIGINT) - 1 AS pos
   FROM {table} WHERE {text_col} IS NOT NULL),
 nt AS (SELECT {id_col}, count(*) AS n FROM toks GROUP BY {id_col}),

@@ -23,6 +23,8 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .vocab import trim_sql
+
 # ---------------------------------------------------------------------------
 # shared regex vocabulary (RE2 syntax — valid in pyarrow AND DuckDB)
 
@@ -370,7 +372,7 @@ def token_stats_sql(table: str = "documents", text_col: str = "text",
     return f"""
 SELECT {id_col},
   length({c}) AS n_chars2,
-  len(regexp_split_to_array(trim({c}), '{WS_PATTERN}')) AS n_tokens_ws,
+  len(regexp_split_to_array({trim_sql(c)}, '{WS_PATTERN}')) AS n_tokens_ws,
   len(regexp_extract_all({c}, '{TOKEN_PATTERN}')) AS n_tokens_re,
   len(regexp_extract_all({c}, '{DIGIT_PATTERN}')) AS n_digits,
   len(regexp_extract_all({c}, '{UPPER_PATTERN}')) AS n_upper,
@@ -389,8 +391,8 @@ WITH f AS (
   SELECT {id_col},
     length({c}) AS n_chars2,
     greatest(CAST(length({c}) AS DOUBLE), 1.0) AS safe_chars,
-    CAST(len(regexp_split_to_array(trim({c}), '{WS_PATTERN}')) AS DOUBLE) AS toks,
-    greatest(CAST(len(regexp_split_to_array(trim({c}), '{WS_PATTERN}')) AS DOUBLE), 1.0) AS safe_toks,
+    CAST(len(regexp_split_to_array({trim_sql(c)}, '{WS_PATTERN}')) AS DOUBLE) AS toks,
+    greatest(CAST(len(regexp_split_to_array({trim_sql(c)}, '{WS_PATTERN}')) AS DOUBLE), 1.0) AS safe_toks,
     CAST(len(regexp_extract_all({c}, '{stopword_pattern("en")}')) AS DOUBLE) AS stop,
     CAST(len(regexp_extract_all({c}, '[A-Za-z]')) AS DOUBLE) AS alpha,
     CAST(len(regexp_extract_all({c}, '{DIGIT_PATTERN}')) AS DOUBLE) AS digits

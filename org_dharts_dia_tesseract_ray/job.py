@@ -35,7 +35,6 @@ def main(argv=None) -> int:
                     help="input files per checkpoint partition")
     ap.add_argument("--no-spans", action="store_true",
                     help="skip the per-partition spans view")
-    ap.add_argument("--no-skew-routing", action="store_true")
     ap.add_argument("--mode", default="auto",
                     choices=["auto", "single_block", "text_only"])
     ap.add_argument("--selector-tag", default=None)
@@ -68,8 +67,7 @@ def main(argv=None) -> int:
     summary = run_checkpointed(
         files, args.out, cfg,
         files_per_shard=args.files_per_shard,
-        write_spans=not args.no_spans,
-        skew_routing=not args.no_skew_routing)
+        write_spans=not args.no_spans)
     metrics = summary["metrics"]
     print(json.dumps({
         "partitions_done": len(summary["done"]),

@@ -351,7 +351,7 @@ FROM {table}"""
 def hocr_sql(table: str = "documents") -> str:
     """Oracle for the hOCR string rendering (M7, TessAPI.java:494 analogue)
     over the wrapped corpus: the fixed heading/body span structure rendered
-    to the exact line-level hOCR string ``render_hocr_doc`` emits."""
+    to the exact line-level hOCR string ``hocr_batch`` emits."""
     url = "'https://corpus.test/doc/' || doc_id"
     hlen = "(4 + length(CAST(doc_id AS VARCHAR)))"      # heading span end
     hs = f"({hlen} + 2)"                                # body span start

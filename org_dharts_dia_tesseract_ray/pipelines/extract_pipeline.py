@@ -3,10 +3,10 @@
 Ray-Data-first composition (SURVEY.md §7)::
 
     read_parquet(pages)                      # source, column-pruned
-      → sniff (stateless, vectorized)        # payload_kind / payload_bytes
       → [dedup url]                          # optional shuffle step
-      → extract (actor pool)                 # the recognition-loop analogue
-         ↳ oversized docs routed to a dedicated small-batch pool (skew)
+      → sniff (stateless, vectorized)        # payload_bytes
+      → split by size                        # oversized docs one per block
+      → extract (task pool)                  # the recognition-loop analogue
       → write_parquet / explode spans
 
 The pipeline object stays a lazy Dataset until a sink consumes it — no
@@ -20,12 +20,12 @@ import ray.data
 
 from ..config import ExtractConfig
 from ..stages.dedup import dedup_pages
-from ..stages.extractor import apply_explode_spans, apply_extract
+from ..stages.extractor import HtmlExtractor, apply_explode_spans
 from ..stages.sniff import apply_sniff
 
 PAGES_COLUMNS = ["url", "warc_ts", "html", "text", "lang"]
 
-# documents above this many payload bytes go to the dedicated oversized pool
+# documents above this many payload bytes are extracted one per block
 # (p99.9-shaped threshold; see SURVEY.md §4 skew row)
 OVERSIZED_BYTES = 1 << 21   # 2 MiB
 
@@ -40,20 +40,19 @@ def extract_pages(
     cfg: ExtractConfig | None = None,
     *,
     dedup: bool = False,
-    skew_routing: bool = True,
     oversized_bytes: int = OVERSIZED_BYTES,
     batch_size: int = 128,
-    concurrency=None,
-    compute: str = "tasks",
 ):
     """pages Dataset → combined extracted Dataset (doc rows + nested spans).
 
-    ``skew_routing=True`` splits the stream on ``payload_bytes``: normal docs
-    flow through the main actor pool (batch_size rows/batch); oversized docs
-    through a small-batch pool so one 100 MB page cannot stall a whole batch
-    (straggler control, SURVEY.md §4).  Output is identical either way —
+    The stream is split on ``payload_bytes``: normal docs reach the
+    extractor in ``batch_size``-row blocks, each oversized doc in a block of
+    its own, so one 100 MB page cannot stall a whole batch (straggler
+    control, SURVEY.md §4).  Output does not depend on the split —
     golden-tested — because the extractor is a pure per-row function.
     """
+    import pyarrow.compute as pc
+
     if dedup:
         # before the sniff: the pages schema is then the source's own
         # (read without executing anything), and the sniff runs on
@@ -61,16 +60,10 @@ def extract_pages(
         ds = dedup_pages(ds)
     ds = apply_sniff(ds)
 
-    if not skew_routing:
-        return apply_extract(ds, cfg, batch_size=batch_size,
-                             concurrency=concurrency, compute=compute)
-
-    import pyarrow.compute as pc
-
     def split_by_size(t):
         """Generator UDF: each yielded table becomes its own block — small
         rows re-chunked to ``batch_size``, every oversized doc isolated in a
-        single-row block so one 100 MB page occupies one actor call alone
+        single-row block so one 100 MB page occupies one extract call alone
         (straggler isolation) instead of stalling a 128-row batch.
 
         ONE pass over the stream: the naive two-filtered-branches version
@@ -87,9 +80,10 @@ def extract_pages(
 
     ds = ds.map_batches(split_by_size, batch_format="pyarrow",
                         zero_copy_batch=True, batch_size=None)
+    # a callable instance (not a class) maps as an ordinary task function;
     # batch_size=None ⇒ the extractor consumes the splitter's blocks as-is
-    return apply_extract(ds, cfg, batch_size=None, concurrency=concurrency,
-                         compute=compute)
+    return ds.map_batches(HtmlExtractor(cfg), batch_format="pyarrow",
+                          zero_copy_batch=True, batch_size=None)
 
 
 def extracted_view(combined_ds):
@@ -100,23 +94,6 @@ def extracted_view(combined_ds):
 def spans_view(combined_ds):
     """Flat ``spans`` table (vectorized explode of the nested column)."""
     return apply_explode_spans(combined_ds)
-
-
-def run(
-    input_path,
-    out_dir: str | None = None,
-    cfg: ExtractConfig | None = None,
-    **kwargs,
-):
-    """End-to-end convenience: read → extract → (optionally) write.
-
-    Returns the combined Dataset (lazy if not written).
-    """
-    ds = read_pages(input_path)
-    combined = extract_pages(ds, cfg, **kwargs)
-    if out_dir is not None:
-        combined.write_parquet(out_dir)
-    return combined
 
 
 def process_pages(path_or_paths, cfg=None, out_dir: str | None = None,

@@ -1,12 +1,12 @@
-"""The extraction actor-pool stage — the engine's flagship transform.
+"""The extraction stage — the engine's flagship transform.
 
 This is the Ray-Data reimagining of the reference's per-document recognition
-loop: one ``ImageAnalyzerFactory`` held per thread with documents fed one at
-a time (/root/reference/src/.../ImageAnalyzerFactory.java:40-43, 204-211)
-becomes a callable CLASS passed to ``map_batches`` — expensive state built
-once per actor in ``__init__`` (the ``TesseractHandle.create()/init()``
-analogue, TesseractHandle.java:82-102, 380-459), per-document work in
-``__call__`` over zero-copy Arrow batches.
+loop (one ``ImageAnalyzerFactory`` per thread with documents fed one at a
+time, reference ImageAnalyzerFactory.java:40-43, 204-211):
+an :class:`HtmlExtractor` instance mapped with ``map_batches`` as an
+ordinary task function, per-document work in ``__call__`` over zero-copy
+Arrow batches.  Nothing expensive is built per worker (``__init__`` only
+stores the config), so a plain task pool beats an actor pool here.
 
 Output schema = ``extracted`` document rows (SURVEY.md §1.3) plus a nested
 ``spans`` list<struct> column: ONE parse pass produces both tables; the
@@ -22,7 +22,6 @@ import pyarrow.compute as pc
 
 from ..config import ExtractConfig
 from ..extract.api import extract_one
-from ..extract.types import PayloadKind
 
 SPAN_STRUCT = pa.struct([
     ("node_id", pa.int32()),
@@ -75,14 +74,14 @@ SPANS_SCHEMA = pa.schema([
 
 
 class HtmlExtractor:
-    """Stateful extraction actor (ST1 in SURVEY.md §2.3).
+    """The extract UDF (ST1 in SURVEY.md §2.3).
 
-    ``__init__`` runs once per actor — config is frozen here, designing out
-    the reference's cross-thread setVariable hazard
-    (ImageAnalyzerFactory.java:106-116).  ``__call__`` runs per batch and is
-    a pure function of the batch: no state survives between documents (the
-    adaptive-classifier behavior of TessAPI.java:536 is deliberately NOT
-    replicated — determinism gate).
+    The config is frozen at construction — designing out the reference's
+    cross-thread setVariable hazard (ImageAnalyzerFactory.java:106-116) —
+    and the instance ships to tasks by value.  ``__call__`` runs per batch
+    and is a pure function of the batch: no state survives between
+    documents (the adaptive-classifier behavior of TessAPI.java:536 is
+    deliberately NOT replicated — determinism gate).
     """
 
     def __init__(self, cfg: ExtractConfig | None = None):
@@ -341,8 +340,8 @@ def _hocr_esc(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_hocr_doc(text: str, spans: list[dict],
-                    include_words: bool = False) -> str:
+def _hocr_render(text: str, idxs, lvls, nids, sts, ens, confs,
+                 include_words: bool) -> str:
     """One document's hOCR string — the ``TessBaseAPIGetHOCRText`` analogue
     (reference TessAPI.java:494, hOCR spec class names).  The reference's
     2-D ``bbox x0 y0 x1 y1`` becomes the 1-D offset form ``bbox start 0
@@ -351,20 +350,10 @@ def render_hocr_doc(text: str, spans: list[dict],
 
     Spans arrive in depth-first reading order (the order ``next(level)``
     visits nodes, BasePageHandle.java:128-134), so a close-to-depth stack
-    rebuilds the nesting without consulting ``parent_id``."""
-    return _hocr_render(
-        text or "", range(len(spans)),
-        [s["level"] for s in spans], [s["node_id"] for s in spans],
-        [s["start"] for s in spans], [s["end"] for s in spans],
-        [s.get("confidence", 0.0) for s in spans], include_words)
-
-
-def _hocr_render(text: str, idxs, lvls, nids, sts, ens, confs,
-                 include_words: bool) -> str:
-    """Core over parallel field lists — the batch path feeds these straight
-    from the Arrow struct fields (a whole-column ``to_pylist`` on the
-    nested struct list costs ~35× the rendering itself; per-field
-    primitive ``to_pylist`` is cheap)."""
+    rebuilds the nesting without consulting ``parent_id``.  The fields come
+    as parallel lists straight from the Arrow struct fields (a whole-column
+    ``to_pylist`` on the nested struct list costs ~35× the rendering
+    itself; per-field primitive ``to_pylist`` is cheap)."""
     out = [f"<div class='ocr_page' id='page_0' "
            f"title='bbox 0 0 {len(text)} 1'>"]
     close: list[str] = []
@@ -446,8 +435,8 @@ def apply_hocr(ds, *, include_words: bool = False, **kwargs):
 UNLV_SCHEMA = pa.schema([("url", pa.string()), ("unlv", pa.string())])
 
 
-def render_unlv_doc(text: str, spans: list[dict], *,
-                    reject_below: float = 0.0) -> str:
+def _unlv_render(text: str, idxs, lvls, btypes, sts, ens, confs, subs,
+                 sups, reject_below: float) -> str:
     """One document's UNLV-format string — the ``TessBaseAPIGetUNLVText``
     analogue (reference binding TessAPI.java:512; the third trivial
     projection over the spans table next to hOCR and boxes).
@@ -459,19 +448,8 @@ def render_unlv_doc(text: str, spans: list[dict], *,
     RecognitionResultsIterator.java:146-158); words whose confidence falls
     below ``reject_below`` (0-100 scale) are masked to ``~`` per character
     (the UNLV reject character).  Non-text blocks are skipped entirely —
-    UNLV carries recognized text only."""
-    return _unlv_render(
-        text, range(len(spans)),
-        [s["level"] for s in spans], [s["block_type"] for s in spans],
-        [s["start"] for s in spans], [s["end"] for s in spans],
-        [s.get("confidence", 0.0) for s in spans],
-        [s.get("is_subscript", False) for s in spans],
-        [s.get("is_superscript", False) for s in spans], reject_below)
-
-
-def _unlv_render(text: str, idxs, lvls, btypes, sts, ens, confs, subs,
-                 sups, reject_below: float) -> str:
-    """Core over parallel field lists (see :func:`_hocr_render`)."""
+    UNLV carries recognized text only.  Fields as parallel lists (see
+    :func:`_hocr_render`)."""
     from ..extract.types import BlockType
 
     lines: list[tuple[int, list[str]]] = []      # (block ordinal, words)
@@ -531,75 +509,6 @@ def apply_unlv(ds, *, reject_below: float = 0.0, **kwargs):
     return ds.map_batches(lambda b: unlv_batch(b, reject_below=reject_below),
                           batch_format="pyarrow", zero_copy_batch=True,
                           **kwargs)
-
-
-def default_concurrency(fraction: float = 1.0) -> tuple:
-    """Autoscaling actor-pool bounds sized to the cluster CPU count.
-
-    (1, N) lets Ray scale the pool up under load and release workers when
-    another stage needs them — per-stage static sizing starves neighbours.
-    """
-    from ..util import cluster_cpus
-    # cap below the CPU count: a pool holding every slot starves the read /
-    # write tasks feeding it (measured: a fixed cpu-sized pool deadlocks to
-    # a crawl on a single node)
-    return (1, max(1, int(cluster_cpus() * fraction) - 2))
-
-
-#: per-worker-process extractor cache for task-mode execution: state is
-#: still built once per worker (the TessBaseAPI amortization), but work is
-#: scheduled as ordinary tasks.
-_PROCESS_EXTRACTORS: dict = {}
-
-
-def make_extract_fn(cfg: ExtractConfig | None):
-    key = cfg or ExtractConfig()
-
-    def extract_fn(batch: pa.Table) -> pa.Table:
-        ex = _PROCESS_EXTRACTORS.get(key)
-        if ex is None:
-            ex = _PROCESS_EXTRACTORS.setdefault(key, HtmlExtractor(key))
-        return ex(batch)
-
-    return extract_fn
-
-
-def apply_extract(ds, cfg: ExtractConfig | None = None, *,
-                  batch_size: int = 128, concurrency=None, num_cpus: float = 1,
-                  compute: str = "tasks", **kwargs):
-    """Attach the extract stage to a pages Dataset.
-
-    ``compute="tasks"`` (default): plain ``map_batches`` task pool with a
-    per-worker-process extractor cache.  Measured on this workload
-    (32-CPU single node, 400k docs): tasks ≈ 33k docs/s vs actor pool
-    ≈ 14-19k and high variance — Ray's actor submission path costs ~2× for
-    a cheap-init stage, and a fixed-size pool can starve upstream reads.
-
-    ``compute="actors"``: the autoscaling actor-pool form (ST1 in SURVEY.md
-    §2.3) — the right choice when ``__init__`` loads genuinely expensive
-    state (models, big language tables); capped below the CPU count so
-    source/sink tasks never starve.
-    """
-    if compute == "tasks":
-        return ds.map_batches(
-            make_extract_fn(cfg),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-            batch_size=batch_size,
-            **kwargs,
-        )
-    if concurrency is None:
-        concurrency = default_concurrency()
-    return ds.map_batches(
-        HtmlExtractor,
-        fn_constructor_args=(cfg,),
-        batch_format="pyarrow",
-        zero_copy_batch=True,
-        batch_size=batch_size,
-        concurrency=concurrency,
-        num_cpus=num_cpus,
-        **kwargs,
-    )
 
 
 def apply_explode_spans(ds, **kwargs):

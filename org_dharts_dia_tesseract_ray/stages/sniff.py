@@ -1,15 +1,11 @@
-"""Payload sniffing prep stage — cheap, stateless, vectorized.
+"""Payload sizing prep stage — cheap, stateless, vectorized.
 
-The analogue of the reference's format detection at read time
-(``ImageIOHelper.getIIOImageList`` extension dispatch + PDF rejection,
-/root/reference/src/.../ImageIOHelper.java:270-327): classify every payload
-(html/pdf/empty/error) and record its size BEFORE the expensive extract
-stage, so that
-
-* skew routing can split oversized documents to a dedicated pool on the
-  ``payload_bytes`` column (SURVEY.md §4), and
-* the extract stage never sees a surprise (PDF vs HTML dispatch is a
-  column read, not a re-sniff).
+Records every payload's size BEFORE the expensive extract stage, so that
+skew routing can split oversized documents into blocks of their own on the
+``payload_bytes`` column (SURVEY.md §4).  The payload kind (html/pdf/empty/
+error — the analogue of the reference's format detection at read time,
+``ImageIOHelper.getIIOImageList``, reference ImageIOHelper.java:270-327) is
+sniffed per row inside ``extract_one``, which owns it.
 
 Pure ``pyarrow.compute`` — no Python row loop.
 """
@@ -19,68 +15,20 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from ..extract.types import PayloadKind
 
-
-def sniff_batch(batch: pa.Table, *, kinds: bool = False) -> pa.Table:
-    """Append ``payload_bytes:int64`` (and, with ``kinds=True``, an
-    advisory ``payload_kind:string``).
-
-    The hot path needs only ``payload_bytes`` (skew routing); the extractor
-    re-sniffs authoritatively per row inside ``extract_one``, so computing
-    kinds here is optional triage — and its emptiness check is bounded to
-    the first 4 KiB slice (a >4 KiB all-whitespace payload is classified
-    html here; the extractor still yields "empty").  The earlier version
-    ran six full-payload ``replace_substring`` copies per batch to label a
-    column nothing on the hot path read.
-    """
+def sniff_batch(batch: pa.Table) -> pa.Table:
+    """Append (or replace) ``payload_bytes:int64``; a null payload is 0."""
     html = batch["html"]
     if isinstance(html, pa.ChunkedArray):
         html = html.combine_chunks()
     nbytes = pc.binary_length(html).cast(pa.int64())
     nbytes = pc.coalesce(nbytes, pa.scalar(0, pa.int64()))
-
-    out = batch
-    cols = [("payload_bytes", nbytes)]
-    if kinds:
-        # mirror extract_one's authoritative sniff: %PDF- magic AFTER a
-        # leading-whitespace strip (the old any-substring-in-8-bytes check
-        # disagreed in both directions: b"xx%PDF-" labeled pdf,
-        # b"    %PDF-" labeled html), and UTF BOMs route to html BEFORE
-        # the NUL heuristic (UTF-16/32 text carries NULs by design)
-        from ..extract.api import _TEXT_BOMS
-        head = pc.binary_slice(html, 0, 64)
-        is_pdf = pc.match_substring_regex(
-            head, pattern="^[ \\t\\r\\n\\x0b\\x0c]*%PDF-")
-        is_bom = pc.starts_with(html, pattern=_TEXT_BOMS[0])
-        for bom in _TEXT_BOMS[1:]:
-            is_bom = pc.or_(is_bom, pc.starts_with(html, pattern=bom))
-        has_nul = pc.and_(pc.match_substring(html, b"\x00"),
-                          pc.invert(is_bom))
-        # emptiness on a bounded head slice (binary-safe, no utf8 assumption)
-        probe = pc.binary_slice(html, 0, 4096)
-        for ws in (b" ", b"\t", b"\r", b"\n", b"\x0b", b"\x0c"):
-            probe = pc.replace_substring(probe, ws, b"")
-        is_empty = pc.or_kleene(pc.is_null(html),
-                                pc.equal(pc.binary_length(probe), 0))
-        kind = pc.if_else(
-            is_empty, pa.scalar(PayloadKind.EMPTY),
-            pc.if_else(
-                is_pdf, pa.scalar(PayloadKind.PDF),
-                pc.if_else(has_nul, pa.scalar(PayloadKind.ERROR),
-                           pa.scalar(PayloadKind.HTML)),
-            ),
-        )
-        cols.append(("payload_kind", kind))
-    for name, col in cols:
-        if name in out.column_names:
-            out = out.drop_columns([name])
-        out = out.append_column(name, col)
-    return out
+    if "payload_bytes" in batch.column_names:
+        batch = batch.drop_columns(["payload_bytes"])
+    return batch.append_column("payload_bytes", nbytes)
 
 
-def apply_sniff(ds, *, kinds: bool = False, **kwargs):
-    """Dataset → Dataset with payload_bytes (+ optional payload_kind)."""
-    return ds.map_batches(lambda b: sniff_batch(b, kinds=kinds),
-                          batch_format="pyarrow",
+def apply_sniff(ds, **kwargs):
+    """Dataset → Dataset with ``payload_bytes``."""
+    return ds.map_batches(sniff_batch, batch_format="pyarrow",
                           zero_copy_batch=True, **kwargs)

@@ -28,12 +28,12 @@ def _inputs(d):
 
 def test_full_run_then_resume_skips_all(corpus3, tmp_path):
     out = str(tmp_path / "out")
-    r1 = run_checkpointed(_inputs(corpus3), out, skew_routing=False)
+    r1 = run_checkpointed(_inputs(corpus3), out)
     assert len(r1["done"]) == 3 and not r1["skipped"]
     mtimes = {p: os.path.getmtime(os.path.join(out, p, "_MANIFEST.json"))
               for p in r1["done"]}
 
-    r2 = run_checkpointed(_inputs(corpus3), out, skew_routing=False)
+    r2 = run_checkpointed(_inputs(corpus3), out)
     assert len(r2["skipped"]) == 3 and not r2["done"]
     for p, old in mtimes.items():
         assert os.path.getmtime(os.path.join(out, p, "_MANIFEST.json")) == old
@@ -41,12 +41,12 @@ def test_full_run_then_resume_skips_all(corpus3, tmp_path):
 
 def test_killed_partition_recomputed(corpus3, tmp_path):
     out = str(tmp_path / "out")
-    r1 = run_checkpointed(_inputs(corpus3), out, skew_routing=False)
+    r1 = run_checkpointed(_inputs(corpus3), out)
     victim = os.path.join(out, r1["done"][1])
     # simulate a kill mid-partition: output exists but no manifest
     os.remove(os.path.join(victim, "_MANIFEST.json"))
 
-    r2 = run_checkpointed(_inputs(corpus3), out, skew_routing=False)
+    r2 = run_checkpointed(_inputs(corpus3), out)
     assert r2["done"] == ["part=00001"]
     assert sorted(r2["skipped"]) == ["part=00000", "part=00002"]
     m = read_manifest(victim)
@@ -55,7 +55,7 @@ def test_killed_partition_recomputed(corpus3, tmp_path):
 
 def test_manifest_metrics_accurate(corpus3, tmp_path):
     out = str(tmp_path / "out")
-    r = run_checkpointed(_inputs(corpus3), out, skew_routing=False)
+    r = run_checkpointed(_inputs(corpus3), out)
     total = sum(m["rows"] for m in r["metrics"].values())
     assert total == 90
     for part, m in r["metrics"].items():
@@ -68,13 +68,13 @@ def test_manifest_metrics_accurate(corpus3, tmp_path):
 
 def test_stale_fingerprint_triggers_redo(corpus3, tmp_path):
     out = str(tmp_path / "out")
-    run_checkpointed(_inputs(corpus3), out, skew_routing=False)
+    run_checkpointed(_inputs(corpus3), out)
     # corrupt one manifest's fingerprint → that partition must be redone
     part0 = os.path.join(out, "part=00000")
     m = json.load(open(os.path.join(part0, "_MANIFEST.json")))
     m["fingerprint"] = "deadbeef"
     json.dump(m, open(os.path.join(part0, "_MANIFEST.json"), "w"))
-    r = run_checkpointed(_inputs(corpus3), out, skew_routing=False)
+    r = run_checkpointed(_inputs(corpus3), out)
     assert r["done"] == ["part=00000"]
 
 
@@ -83,7 +83,7 @@ def test_spans_written_and_survive_resume(corpus3, tmp_path):
     partition writes a spans view beside the extracted table under the same
     manifest discipline, and a kill between the two writes redoes BOTH."""
     out = str(tmp_path / "out")
-    r1 = run_checkpointed(_inputs(corpus3), out, skew_routing=False)
+    r1 = run_checkpointed(_inputs(corpus3), out)
     for part, m in r1["metrics"].items():
         spans_dir = os.path.join(out, "spans", part)
         t = pq.read_table(spans_dir)
@@ -97,7 +97,7 @@ def test_spans_written_and_survive_resume(corpus3, tmp_path):
     os.remove(os.path.join(victim, "_MANIFEST.json"))
     shutil.rmtree(os.path.join(out, "spans", "part=00001"))
 
-    r2 = run_checkpointed(_inputs(corpus3), out, skew_routing=False)
+    r2 = run_checkpointed(_inputs(corpus3), out)
     assert r2["done"] == ["part=00001"]
     t = pq.read_table(os.path.join(out, "spans", "part=00001"))
     assert t.num_rows == r2["metrics"]["part=00001"]["spans_rows"] > 0

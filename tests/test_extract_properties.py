@@ -130,7 +130,15 @@ def test_arbitrary_bytes_never_raise(payload):
     assert isinstance(r.text, str)
 
 
-def test_fast_tokenizer_parity_with_stdlib():
+def _refuse_fast(parser, text):
+    """Stand-in for ``html_extract._feed_fast`` that sends every document
+    down ``segment_html``'s own stdlib fallback."""
+    from org_dharts_dia_tesseract_ray.extract.html_extract import (
+        _StdlibFallback)
+    raise _StdlibFallback
+
+
+def test_fast_tokenizer_parity_with_stdlib(monkeypatch):
     """The regex tokenizer front-end must produce the IDENTICAL
     ExtractResult (text, spans, confidences) as the stdlib html.parser
     front-end — over every fixture page, truncation points, and a gauntlet
@@ -140,15 +148,13 @@ def test_fast_tokenizer_parity_with_stdlib():
 
     import pyarrow.parquet as pq
 
-    from org_dharts_dia_tesseract_ray.config import ExtractConfig
-    from org_dharts_dia_tesseract_ray.extract.api import extract_one
-
-    fast = ExtractConfig(fast_parser=True)
-    slow = ExtractConfig(fast_parser=False)
+    from org_dharts_dia_tesseract_ray.extract import html_extract
 
     def check(payload, lang=None, ctext=None):
-        a = extract_one(payload, lang, ctext, fast)
-        b = extract_one(payload, lang, ctext, slow)
+        a = extract_one(payload, lang, ctext, CFG)
+        with monkeypatch.context() as m:
+            m.setattr(html_extract, "_feed_fast", _refuse_fast)
+            b = extract_one(payload, lang, ctext, CFG)
         assert a.text == b.text, (payload[:80], a.text[:80], b.text[:80])
         assert a.n_blocks == b.n_blocks and a.doc_confidence == b.doc_confidence
         assert [dataclasses.astuple(s) for s in a.spans] == \
@@ -197,7 +203,7 @@ def test_fast_tokenizer_parity_with_stdlib():
         check(c, "en")
 
 
-def test_fast_tokenizer_fuzz_parity():
+def test_fast_tokenizer_fuzz_parity(monkeypatch):
     """Deterministic tag-soup fuzz: 1500 random fragment compositions must
     produce identical ExtractResults on both front-ends (a failing doc is
     printed for repro).  The full 3×8000-trial sweep ran clean during
@@ -205,15 +211,16 @@ def test_fast_tokenizer_fuzz_parity():
     import dataclasses
     import random
 
-    from org_dharts_dia_tesseract_ray.config import ExtractConfig
-    from org_dharts_dia_tesseract_ray.extract.html_extract import (assemble,
-                                                                   segment_html)
+    from org_dharts_dia_tesseract_ray.extract import html_extract
 
-    fast = ExtractConfig(fast_parser=True)
-    slow = ExtractConfig(fast_parser=False)
+    def fast(text):
+        return html_extract.assemble(html_extract.segment_html(text, CFG),
+                                     "en", CFG)
 
-    def res(text, cfg):
-        return assemble(segment_html(text, cfg), "en", cfg)
+    def slow(text):
+        with monkeypatch.context() as m:
+            m.setattr(html_extract, "_feed_fast", _refuse_fast)
+            return fast(text)
 
     frags = ["<p>", "</p>", "<div>", "</div>", "<a href='x'>", "<a href=/>",
              "</a>", "<br>", "<hr>", "<img src=x>", "word", "two words",
@@ -236,8 +243,8 @@ def test_fast_tokenizer_fuzz_parity():
     rng = random.Random(424242)
     for _ in range(1500):
         doc = "".join(rng.choice(frags) for _ in range(rng.randint(1, 28)))
-        a = res(doc, fast)
-        b = res(doc, slow)
+        a = fast(doc)
+        b = slow(doc)
         assert a.text == b.text, repr(doc)
         assert [dataclasses.astuple(s) for s in a.spans] == \
                [dataclasses.astuple(s) for s in b.spans], repr(doc)

@@ -405,11 +405,11 @@ def test_get_variable_typed_readback():
         cfg.get_variable("psm_hint", type=list)
 
 
-def test_sniff_advisory_matches_authoritative():
-    """Code-review regression: the vectorized advisory payload_kind must
-    agree with extract_one's authoritative sniff_kind on every routing
-    family (lstrip'd PDF magic, mid-payload %PDF- is NOT pdf, BOM text
-    with NULs is html, NUL junk is error, whitespace/None are empty)."""
+def test_sniff_kind_routing_families():
+    """extract_one's payload router on every routing family (lstrip'd PDF
+    magic, mid-payload %PDF- is NOT pdf, BOM text with NULs is html, NUL
+    junk is error, whitespace/None are empty); the vectorized sniff stage
+    only sizes payloads."""
     import pyarrow as pa
 
     from org_dharts_dia_tesseract_ray.extract.api import sniff_kind
@@ -419,9 +419,14 @@ def test_sniff_advisory_matches_authoritative():
                 b"\xff\xfet\x00e\x00x\x00t\x00", b"<html>x</html>",
                 b"bin\x00junk", b"   ", None, b"\t\n%PDF-",
                 b"\xef\xbb\xbfplain utf8 bom"]
+    assert [sniff_kind(p) for p in payloads] == [
+        "pdf", "html", "pdf", "html", "html",
+        "error", "empty", "empty", "pdf", "html"]
     t = pa.table({"html": pa.array(payloads, pa.binary())})
-    adv = sniff_batch(t, kinds=True)["payload_kind"].to_pylist()
-    assert adv == [sniff_kind(p) for p in payloads]
+    out = sniff_batch(t)
+    assert out.column_names == ["html", "payload_bytes"]
+    assert out["payload_bytes"].to_pylist() == [
+        len(p) if p is not None else 0 for p in payloads]
 
 
 def test_normalize_text_unicode_cases():

@@ -1231,25 +1231,34 @@ def test_row_digest_null_vs_empty_rank_distinctly():
     assert _row_digests(t_null)[0].as_py() != _row_digests(t_empty)[0].as_py()
 
 
+def _extracted_pages(*payloads):
+    """The extract stage's output over one page per payload."""
+    from org_dharts_dia_tesseract_ray.stages.extractor import HtmlExtractor
+    n = len(payloads)
+    return HtmlExtractor()(pa.table({
+        "url": pa.array([f"u{i}" for i in range(n)], pa.string()),
+        "warc_ts": pa.array([0] * n, pa.timestamp("us", tz="UTC")),
+        "html": pa.array(list(payloads), pa.binary()),
+        "lang": pa.array(["en"] * n, pa.string()),
+    }))
+
+
 def test_hocr_rendering_structure():
-    from org_dharts_dia_tesseract_ray.extract.api import extract_one
-    from org_dharts_dia_tesseract_ray.stages.extractor import render_hocr_doc
+    from org_dharts_dia_tesseract_ray.stages.extractor import hocr_batch
     html = (b"<html><body><article><h1>Doc 7</h1>"
             b"<p>alpha &amp; beta</p></article></body></html>")
-    res = extract_one(html, "en", None)
-    assert res.error is None and res.text
-    spans = [{k: getattr(s, k) for k in
-              ("node_id", "level", "start", "end", "confidence")}
-             for s in res.spans]
-    hocr = render_hocr_doc(res.text, spans)
+    pages = _extracted_pages(html)
+    res = pages.to_pylist()[0]
+    assert res["error"] is None and res["extracted_text"]
+    hocr = hocr_batch(pages)["hocr"][0].as_py()
     assert hocr.startswith("<div class='ocr_page'")
-    assert hocr.count("<div class='ocr_carea'") == res.n_blocks
-    assert hocr.count("</div>") == res.n_blocks + 1
+    assert hocr.count("<div class='ocr_carea'") == res["n_blocks"]
+    assert hocr.count("</div>") == res["n_blocks"] + 1
     # line text is escaped and sliced from the extracted text
     assert "alpha &amp; beta" in hocr
     assert "ocrx_word" not in hocr
     # word-level rendering nests words inside lines with confidences
-    hocr_w = render_hocr_doc(res.text, spans, include_words=True)
+    hocr_w = hocr_batch(pages, include_words=True)["hocr"][0].as_py()
     assert "x_wconf" in hocr_w and "ocrx_word" in hocr_w
     # x_wconf is on the hOCR 0-100 scale (confidences are already 0-100)
     import re as _re
@@ -1257,42 +1266,33 @@ def test_hocr_rendering_structure():
     assert wconfs and all(0 <= c <= 100 for c in wconfs)
 
 
-def _unlv_spans(res):
-    return [{k: getattr(s, k) for k in
-             ("node_id", "level", "block_type", "start", "end",
-              "confidence", "is_subscript", "is_superscript")}
-            for s in res.spans]
-
-
 def test_unlv_rendering():
     """UNLV renderer (TessAPI.java:512 analogue): words space-joined per
     line, blank line between blocks, sub/sup markers, trailing newline."""
-    from org_dharts_dia_tesseract_ray.extract.api import extract_one
-    from org_dharts_dia_tesseract_ray.stages.extractor import render_unlv_doc
+    from org_dharts_dia_tesseract_ray.stages.extractor import unlv_batch
     html = (b"<html><body><article><h1>Doc 7</h1>"
             b"<p>alpha H<sub>2</sub>O mc<sup>2</sup></p>"
             b"</article></body></html>")
-    res = extract_one(html, "en", None)
-    out = render_unlv_doc(res.text, _unlv_spans(res))
+    out = unlv_batch(_extracted_pages(html))["unlv"][0].as_py()
     assert out == "Doc 7\n\nalpha _H2O ^mc2\n"
 
 
 def test_unlv_reject_masking_and_noise_blocks():
-    from org_dharts_dia_tesseract_ray.extract.api import extract_one
-    from org_dharts_dia_tesseract_ray.stages.extractor import render_unlv_doc
+    from org_dharts_dia_tesseract_ray.stages.extractor import unlv_batch
     html = (b"<html><body>"
             b'<nav><a href="/">home</a> <a href="/x">x</a></nav>'
             b"<article><h1>Doc 9</h1><p>body words</p></article>"
             b"<footer><a href='/a'>about</a></footer></body></html>")
-    res = extract_one(html, "en", None)
-    out = render_unlv_doc(res.text, _unlv_spans(res))
+    pages = _extracted_pages(html, b"")
+    out = unlv_batch(pages)["unlv"].to_pylist()
     # noise blocks (nav/footer) carry no UNLV text
-    assert out == "Doc 9\n\nbody words\n"
+    assert out[0] == "Doc 9\n\nbody words\n"
     # reject threshold above every word confidence masks all words to ~
-    masked = render_unlv_doc(res.text, _unlv_spans(res), reject_below=101.0)
+    masked = unlv_batch(pages, reject_below=101.0)["unlv"][0].as_py()
     assert masked == "~~~ ~\n\n~~~~ ~~~~~\n"
     # empty document renders to the empty string
-    assert render_unlv_doc("", []) == ""
+    assert pages["extracted_text"][1].as_py() == ""
+    assert out[1] == ""
 
 
 def test_neardup_clusters_chain_convergence(ray_session):
@@ -1800,6 +1800,48 @@ def test_doc_frequency_edge_whitespace_matches_oracle(ray_session):
     want = sorted(con.execute(doc_frequency_sql()).fetchall())
     assert got == want
     assert [r[0] for r in want] == ["alpha", "beta", "gamma"]
+
+
+def test_token_stats_and_quality_edge_whitespace_match_oracle():
+    """Text that starts or ends with newlines, tabs or U+3000 gives the
+    same whitespace-token count (and so the same quality score) from the
+    operators and their DuckDB oracles."""
+    from org_dharts_dia_tesseract_ray.functions.text_stats import (
+        quality_batch, quality_sql, token_stats_batch, token_stats_sql)
+    t = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
+                  "text": ["\nalpha beta\n", "\t the cat \n\n",
+                           "gamma\u3000"]})
+    con = duckdb.connect()
+    con.register("documents", t)
+    for op, sql in ((token_stats_batch, token_stats_sql),
+                    (quality_batch, quality_sql)):
+        got = op(t).to_pylist()
+        assert got == con.execute(sql()).fetch_arrow_table().to_pylist()
+        assert [r["n_tokens_ws"] for r in got] == [2, 2, 1]
+    assert quality_batch(t)["quality_score"][0].as_py() == 40.4
+
+
+def test_unigram_score_matches_oracle(ray_session):
+    """``score_unigram`` over a ``build_unigram_model`` model equals
+    ``unigram_score_sql``: edge newlines add no empty token, a top-3 model
+    leaves some tokens out of vocabulary, and null text scores like the
+    oracle."""
+    import ray.data
+    from org_dharts_dia_tesseract_ray.functions.lm_score import (
+        build_unigram_model, score_unigram, unigram_score_sql)
+    t = pa.table({"doc_id": pa.array([1, 2, 3, 4, 5], pa.int64()),
+                  "text": ["\nalpha beta\n", "\t beta gamma \n\n",
+                           "alpha beta delta", None, "gamma\talpha\u3000\n"]})
+    ds = ray.data.from_arrow(t)
+    model = build_unigram_model(ds, vocab_size=3)
+    got = sorted(tuple(r.values()) for r in score_unigram(
+        ds, model).select_columns(
+            ["doc_id", "n_tokens", "n_oov", "sum_freq", "mean_freq"]).take_all())
+    con = duckdb.connect()
+    con.register("documents", t)
+    want = sorted(con.execute(unigram_score_sql(3)).fetchall())
+    assert got == want
+    assert [r[1] for r in want] == [2, 2, 3, 0, 2]
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ def _extracted_table(ds) -> pa.Table:
 
 
 def test_pipeline_matches_golden_bytes(tiny_path, golden_extracted):
-    combined = ep.extract_pages(ep.read_pages(tiny_path), skew_routing=False)
+    combined = ep.extract_pages(ep.read_pages(tiny_path))
     got = ep.extracted_view(combined).to_pandas()
     want = golden_extracted.to_pandas()
     got = got.sort_values(["url", "warc_ts"]).reset_index(drop=True)
@@ -54,9 +54,10 @@ def test_pipeline_matches_golden_bytes(tiny_path, golden_extracted):
     assert got["error"].tolist() == want["error"].tolist()
 
 
-def test_skew_routing_output_identical(tiny_path, golden_extracted):
-    """Routing through the oversized pool must not change a single byte."""
-    combined = ep.extract_pages(ep.read_pages(tiny_path), skew_routing=True,
+def test_oversized_routing_output_identical(tiny_path, golden_extracted):
+    """Routing docs into single-row oversized blocks must not change a
+    single byte."""
+    combined = ep.extract_pages(ep.read_pages(tiny_path),
                                 oversized_bytes=8192)  # force many docs big
     got = ep.extracted_view(combined).to_pandas() \
         .sort_values(["url", "warc_ts"]).reset_index(drop=True)
@@ -71,7 +72,7 @@ def test_parallelism_invariance(tiny_path, golden_extracted):
     texts = {}
     for batch_size, parallelism in ((8, 8), (64, 2)):
         ds = ep.read_pages(tiny_path).repartition(parallelism)
-        combined = ep.extract_pages(ds, skew_routing=False, batch_size=batch_size)
+        combined = ep.extract_pages(ds, batch_size=batch_size)
         df = ep.extracted_view(combined).to_pandas() \
             .sort_values(["url", "warc_ts"]).reset_index(drop=True)
         texts[(batch_size, parallelism)] = list(zip(df["url"], df["extracted_text"]))
@@ -80,7 +81,7 @@ def test_parallelism_invariance(tiny_path, golden_extracted):
 
 
 def test_spans_view_matches_golden(tiny_path, golden_spans):
-    combined = ep.extract_pages(ep.read_pages(tiny_path), skew_routing=False)
+    combined = ep.extract_pages(ep.read_pages(tiny_path))
     got = ep.spans_view(combined).to_pandas() \
         .sort_values(["url", "node_id"]).reset_index(drop=True)
     want = golden_spans.to_pandas() \
@@ -111,7 +112,7 @@ def test_dedup_keeps_latest(ray_session, tiny_path):
 
 
 def test_metrics_rollups(ray_session, tiny_path):
-    combined = ep.extract_pages(ep.read_pages(tiny_path), skew_routing=False)
+    combined = ep.extract_pages(ep.read_pages(tiny_path))
     ex = ep.extracted_view(combined)
     by_lang = metrics_by_lang(ex).to_pandas()
     assert by_lang["n_docs"].sum() == 64
@@ -124,7 +125,7 @@ def test_metrics_rollups(ray_session, tiny_path):
 
 def test_write_then_read_roundtrip(ray_session, tiny_path, tmp_path):
     out = str(tmp_path / "out")
-    combined = ep.extract_pages(ep.read_pages(tiny_path), skew_routing=False)
+    combined = ep.extract_pages(ep.read_pages(tiny_path))
     combined.write_parquet(out)
     back = pq.read_table(out)
     assert back.num_rows == 64
