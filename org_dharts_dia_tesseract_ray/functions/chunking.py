@@ -3,15 +3,13 @@ overlap, the embedding / retrieval / long-context preprocessing step
 (every RAG or embedding pipeline shards long documents into overlapping
 windows before batch inference).
 
-Contract: tokens are the corpus-wide whitespace convention (trim +
-``\\s+`` split — bit-compatible with DuckDB ``regexp_split_to_array``,
-the same convention the vocab / substrdedup / sketch kernels use).
+Contract: tokens are the corpus-wide whitespace tokens
+(``vocab.ws_tokens``, whose DuckDB twin the oracle splits with).
 Windows start at 0, stride, 2·stride, …; emission STOPS at the first
 window that reaches the document end, so the final window may be short
 but no degenerate fully-contained trailing windows are emitted:
-``n_chunks = 1 + ceil(max(n - window, 0) / stride)``.  Null text yields
-no chunks; empty text yields one empty chunk (both sides of the oracle
-agree: ``split('') == ['']``).
+``n_chunks = 1 + ceil(max(n - window, 0) / stride)``.  Text without
+tokens (null, empty or whitespace-only) yields no chunks.
 
 Scale shape: pure per-batch ``map_batches`` — shuffle-free, stateless,
 fully vectorized (ONE split kernel, ONE flat gather with ragged index
@@ -29,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import ragged_arange
-from .vocab import WS_PATTERN, trim_sql
+from .vocab import ws_tokens, ws_tokens_sql
 
 
 def chunk_documents(ds, *, id_col: str = "doc_id", text_col: str = "text",
@@ -40,10 +38,7 @@ def chunk_documents(ds, *, id_col: str = "doc_id", text_col: str = "text",
         raise ValueError("need 0 < stride <= window")
 
     def f(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(
-            pc.utf8_trim_whitespace(b[text_col]), WS_PATTERN)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = ws_tokens(b[text_col])
         n = np.asarray(pc.fill_null(pc.list_value_length(toks), 0),
                        dtype=np.int64)
         over = np.maximum(n - window, 0)
@@ -81,14 +76,12 @@ def chunk_documents_sql(*, id_col: str = "doc_id", text_col: str = "text",
     w, s = window, stride
     return f"""
 WITH t AS (
-  SELECT {id_col},
-         regexp_split_to_array({trim_sql(text_col)}, '\\s+') AS toks
-  FROM {table} WHERE {text_col} IS NOT NULL),
+  SELECT {id_col}, {ws_tokens_sql(text_col)} AS toks FROM {table}),
 c AS (SELECT {id_col}, toks, len(toks) AS n,
              1 + CASE WHEN len(toks) > {w}
                       THEN (len(toks) - {w} + {s} - 1) // {s}
                       ELSE 0 END AS n_chunks
-      FROM t)
+      FROM t WHERE len(toks) > 0)
 SELECT {id_col},
        CAST(i AS BIGINT) AS chunk_id,
        CAST(i * {s} AS BIGINT) AS tok_start,

@@ -32,11 +32,7 @@ import numpy as np
 import pyarrow as pa
 
 from ..util import _string_hash64
-
-#: whitespace tokenizer shared with vocab/text_stats — DuckDB's
-#: regexp_split_to_array uses the same RE2 so the oracle is bit-compatible.
-from .text_stats import WS_PATTERN
-from .vocab import doc_ngrams_batch, trim_sql
+from .vocab import doc_ngrams_batch, ws_tokens_sql
 
 
 def ngram_hashes_batch(text_col, n: int):
@@ -106,7 +102,7 @@ def decontaminate(ds, blocklist: np.ndarray, *, n: int = 8,
 
 def ngram_sql_expr(text_col: str, n: int) -> str:
     """DuckDB expression: list of space-joined word n-grams of a text."""
-    t = f"regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}')"
+    t = ws_tokens_sql(text_col)
     return (f"list_transform(range(1, len({t}) - {n - 2}), "
             f"i -> array_to_string(list_slice({t}, i, i + {n - 1}), ' '))")
 

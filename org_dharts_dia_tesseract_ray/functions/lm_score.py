@@ -33,8 +33,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .text_stats import WS_PATTERN
-from .vocab import trim_sql
+from .vocab import ws_tokens_sql
 
 
 def build_unigram_model(ds, *, vocab_size: int = 65536,
@@ -152,7 +151,7 @@ def bigram_score_sql(vocab_size: int, *, table: str = "documents",
     return f"""
 WITH l AS (
   SELECT {id_col},
-         regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}') AS toks
+         {ws_tokens_sql(text_col)} AS toks
   FROM {table}),
 g AS (
   SELECT {id_col},
@@ -185,8 +184,7 @@ def unigram_score_sql(vocab_size: int = 65536, *,
     return f"""
 WITH tok AS (
   SELECT {id_col},
-         unnest(regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}'))
-           AS token
+         unnest({ws_tokens_sql(text_col)}) AS token
   FROM {table}),
 cnt AS (
   SELECT token, CAST(count(*) AS BIGINT) AS n FROM tok GROUP BY token),

@@ -46,8 +46,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import grouped_arrow_aggregate, ragged_arange
-from .text_stats import WS_PATTERN
-from .vocab import trim_sql
+from .vocab import doc_ngrams_batch, ws_tokens, ws_tokens_sql
 
 K1_DEFAULT = 1.2
 B_DEFAULT = 0.75
@@ -58,7 +57,8 @@ def _query_terms(queries: list[str]) -> tuple[list[str], np.ndarray,
     """(sorted unique terms, CSR offsets per term, query-id list) — each
     term maps to every query containing it (duplicates within one query
     collapse, as in the oracle's DISTINCT VALUES list)."""
-    per_q = [sorted({t for t in q.split() if t}) for q in queries]
+    per_q = [sorted(set(ts)) for ts in
+             ws_tokens(pa.array(queries, pa.string())).to_pylist()]
     terms = sorted({t for ts in per_q for t in ts})
     tix = {t: i for i, t in enumerate(terms)}
     pairs = sorted((tix[t], qi) for qi, ts in enumerate(per_q) for t in ts)
@@ -69,14 +69,10 @@ def _query_terms(queries: list[str]) -> tuple[list[str], np.ndarray,
 
 
 def _tokenize(b: pa.Table, text_col: str):
-    toks = pc.split_pattern_regex(
-        pc.utf8_trim_whitespace(b[text_col]), WS_PATTERN)
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = pc.list_flatten(toks)
-    parents = np.asarray(pc.list_parent_indices(toks), dtype=np.int64)
-    lens = np.asarray(pc.list_value_length(toks), dtype=np.int64)
-    return flat, parents, lens
+    """(flat tokens, per-token row, per-row token count)."""
+    flat, parents, n_docs = doc_ngrams_batch(b[text_col], 1)
+    parents = np.asarray(parents, dtype=np.int64)
+    return flat, parents, np.bincount(parents, minlength=n_docs)
 
 
 def bm25_topk(ds, queries: list[str], *, k: int = 10,
@@ -184,13 +180,11 @@ def bm25_topk_sql(queries: list[str], *, k: int = 10,
         for q in qlist[qoff[t]:qoff[t + 1]])
     return f"""
 WITH qt(query_id, term) AS (VALUES {pairs}),
-tok AS (
-  SELECT {id_col},
-         unnest(regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}'))
-           AS term
+docs AS (
+  SELECT {id_col}, {ws_tokens_sql(text_col)} AS toks
   FROM {table} WHERE {text_col} IS NOT NULL),
-lens AS (SELECT {id_col}, CAST(count(*) AS BIGINT) AS len
-         FROM tok GROUP BY {id_col}),
+tok AS (SELECT {id_col}, unnest(toks) AS term FROM docs),
+lens AS (SELECT {id_col}, CAST(len(toks) AS BIGINT) AS len FROM docs),
 st AS (SELECT CAST(count(*) AS DOUBLE) AS n,
               CAST(sum(len) AS DOUBLE) / count(*) AS avg_len
        FROM lens),

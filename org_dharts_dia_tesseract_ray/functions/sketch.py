@@ -8,9 +8,8 @@ where exact counting would shuffle every distinct value.
 
 Flajolet et al. HLL with 2^12 registers (~1.6 % standard error) +
 linear-counting small-range correction.  Deterministic: the batch kernel
-(:func:`sketch_table`) hashes tokens with the repo's vectorized
-byte-polynomial (util._string_hash64); the per-document helper
-:func:`_token_hashes` keeps the older rolling-hash family for tests.
+(:func:`sketch_table`) hashes the whitespace tokens (``vocab.ws_tokens``)
+with the repo's vectorized byte-polynomial (util._string_hash64).
 """
 
 from __future__ import annotations
@@ -19,8 +18,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .fingerprint import rolling_hash64
-from .vocab import WS_PATTERN
+from .vocab import doc_ngrams_batch
 
 P = 12
 M = 1 << P                    # 4096 registers
@@ -75,13 +73,6 @@ def _mix64(h: np.ndarray) -> np.ndarray:
     return h
 
 
-def _token_hashes(text: str) -> np.ndarray:
-    """Single-document token hashes (kept for tests/serial callers)."""
-    toks = set((text or "").split())
-    raw = np.array([rolling_hash64(t) for t in toks], dtype=np.uint64)
-    return _mix64(raw)
-
-
 def sketch_table(batch: pa.Table, *, key_col: str = "lang",
                  text_col: str = "text") -> pa.Table:
     """(key, sketch) — ONE vectorized pass over a whole table: Arrow
@@ -92,13 +83,8 @@ def sketch_table(batch: pa.Table, *, key_col: str = "lang",
     the sketch path at corpus scale)."""
     from ..util import _string_hash64, as_array
 
-    toks = pc.split_pattern_regex(
-        pc.utf8_trim_whitespace(batch[text_col]), WS_PATTERN)
-    flat = pc.list_flatten(toks)
-    keys_tok = pc.take(batch[key_col], pc.list_parent_indices(toks))
-    nonempty = pc.greater(pc.utf8_length(flat), 0)
-    flat = flat.filter(nonempty)
-    keys_tok = keys_tok.filter(nonempty)
+    flat, parents, _ = doc_ngrams_batch(batch[text_col], 1)
+    keys_tok = pc.take(batch[key_col], parents)
     # every key present in the batch gets a row — a key whose documents are
     # all empty still contributes a zero sketch (estimate 0), matching the
     # per-row accumulation semantics this kernel replaced

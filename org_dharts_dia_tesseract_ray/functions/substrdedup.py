@@ -15,8 +15,8 @@ byte-for-byte):
 ``strategy="broadcast"`` — the decontam/bloom broadcast pattern, NOT a
 text shuffle:
 
-1. **Gram pass** — one ``map_batches`` sweep tokenizes (Arrow
-   ``split_pattern_regex``) and rolls a 64-bit polynomial over the token
+1. **Gram pass** — one ``map_batches`` sweep tokenizes
+   (``vocab.ws_tokens``) and rolls a 64-bit polynomial over the token
    hashes, emitting per-batch-unique ``(gram, min_doc, max_doc)``
    partials; the only shuffle is this slim 24-byte-per-unique-gram
    reduce (hash-partitioned, Arrow ``group_by`` per partition — the raw
@@ -63,7 +63,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..util import _string_hash64
-from .vocab import WS_PATTERN, trim_sql
+from .vocab import doc_ngrams_batch, ws_tokens_sql
 
 #: FNV-64 prime — the same multiplier the shared string hash uses.
 _M = np.uint64(1099511628211)
@@ -72,12 +72,8 @@ _M = np.uint64(1099511628211)
 def _token_runs(batch: pa.Table, text_col: str):
     """(flat token hashes, per-token doc row, per-token position-in-doc)
     for a batch — null-safe (null text contributes no tokens)."""
-    toks = pc.split_pattern_regex(
-        pc.utf8_trim_whitespace(batch[text_col]), WS_PATTERN)
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    flat = pc.list_flatten(toks)
-    parents = np.asarray(pc.list_parent_indices(toks), dtype=np.int64)
+    flat, parents, _ = doc_ngrams_batch(batch[text_col], 1)
+    parents = np.asarray(parents, dtype=np.int64)
     n = len(parents)
     if n == 0:
         return (np.empty(0, np.uint64), parents,
@@ -333,15 +329,9 @@ def _strip_covered(b: pa.Table, rows: np.ndarray, p: np.ndarray, *,
                    w: int, text_col: str, id_col: str) -> pa.Table:
     """Remove every token covered by a marked window ``(rows, p)`` —
     rows are batch row indices, p token positions within the row."""
-    toks = pc.split_pattern_regex(
-        pc.utf8_trim_whitespace(b[text_col]), WS_PATTERN)
-    if isinstance(toks, pa.ChunkedArray):
-        toks = toks.combine_chunks()
-    parents = np.asarray(pc.list_parent_indices(toks), dtype=np.int64)
-    n_toks = np.zeros(b.num_rows, np.int64)
-    if len(parents):
-        uniq, cnt = np.unique(parents, return_counts=True)
-        n_toks[uniq] = cnt
+    flat, parents, _ = doc_ngrams_batch(b[text_col], 1)
+    parents = np.asarray(parents, dtype=np.int64)
+    n_toks = np.bincount(parents, minlength=b.num_rows)
     doc_off = np.r_[0, np.cumsum(n_toks)]
     total = int(doc_off[-1])
     # coverage via prefix-sum deltas: +1 at each marked start, -1 at
@@ -353,7 +343,6 @@ def _strip_covered(b: pa.Table, rows: np.ndarray, p: np.ndarray, *,
         np.add.at(delta, flat_s + w, -1)
     covered = np.cumsum(delta[:total]) > 0
     keep = ~covered
-    flat = pc.list_flatten(toks)
     # rebuild one list of kept tokens per row, then a single
     # vectorized join — no per-doc Python string assembly
     kept_counts = np.zeros(b.num_rows, np.int64)
@@ -454,10 +443,8 @@ def _gram_cte(w: int, table: str, text_col: str, id_col: str) -> str:
     return f"""
 toks AS (
   SELECT {id_col},
-         unnest(regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}'))
-           AS tok,
-         CAST(generate_subscripts(
-              regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}'), 1)
+         unnest({ws_tokens_sql(text_col)}) AS tok,
+         CAST(generate_subscripts({ws_tokens_sql(text_col)}, 1)
            AS BIGINT) - 1 AS pos
   FROM {table} WHERE {text_col} IS NOT NULL),
 nt AS (SELECT {id_col}, count(*) AS n FROM toks GROUP BY {id_col}),

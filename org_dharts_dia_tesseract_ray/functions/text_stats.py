@@ -23,16 +23,13 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .vocab import trim_sql
+from .vocab import doc_ngrams_batch, ws_tokens, ws_tokens_sql
 
 # ---------------------------------------------------------------------------
 # shared regex vocabulary (RE2 syntax — valid in pyarrow AND DuckDB)
 
 #: BPE-ish word/number/punct tokenizer (GPT-2-style coarse classes).
 TOKEN_PATTERN = r"[A-Za-z]+|[0-9]+|[^A-Za-z0-9\s]"
-
-#: whitespace splitter for the cheap token count
-WS_PATTERN = r"\s+"
 
 DIGIT_PATTERN = r"[0-9]"
 UPPER_PATTERN = r"[A-Z]"
@@ -132,13 +129,10 @@ def token_stats_batch(batch: pa.Table, *, text_col: str = "text",
     ``n_stop_en`` (English stopword hits).
     """
     text = batch[text_col]
-    ws_tokens = pc.list_value_length(
-        pc.split_pattern_regex(pc.utf8_trim_whitespace(text), WS_PATTERN)
-    ).cast(pa.int64())
     return pa.table({
         id_col: batch[id_col],
         "n_chars2": _utf8_length(text),
-        "n_tokens_ws": ws_tokens,
+        "n_tokens_ws": pc.list_value_length(ws_tokens(text)).cast(pa.int64()),
         "n_tokens_re": _count_re(text, TOKEN_PATTERN),
         "n_digits": _count_re(text, DIGIT_PATTERN),
         "n_upper": _count_re(text, UPPER_PATTERN),
@@ -158,10 +152,8 @@ def quality_batch(batch: pa.Table, *, text_col: str = "text",
     n_chars = _utf8_length(text)
     n_chars_f = n_chars.cast(pa.float64())
     safe_chars = pc.max_element_wise(n_chars_f, pa.scalar(1.0))
-    ws_tokens = pc.list_value_length(
-        pc.split_pattern_regex(pc.utf8_trim_whitespace(text), WS_PATTERN)
-    ).cast(pa.float64())
-    safe_tokens = pc.max_element_wise(ws_tokens, pa.scalar(1.0))
+    n_tokens = pc.list_value_length(ws_tokens(text)).cast(pa.float64())
+    safe_tokens = pc.max_element_wise(n_tokens, pa.scalar(1.0))
     stop = _count_re(text, stopword_pattern("en")).cast(pa.float64())
     alpha = _count_re(text, r"[A-Za-z]").cast(pa.float64())
     digits = _count_re(text, DIGIT_PATTERN).cast(pa.float64())
@@ -169,7 +161,7 @@ def quality_batch(batch: pa.Table, *, text_col: str = "text",
     stop_ratio = pc.divide(stop, safe_tokens)
     alpha_ratio = pc.divide(alpha, safe_chars)
     digit_ratio = pc.divide(digits, safe_chars)
-    len_sat = pc.min_element_wise(pc.divide(ws_tokens, pa.scalar(100.0)),
+    len_sat = pc.min_element_wise(pc.divide(n_tokens, pa.scalar(100.0)),
                                   pa.scalar(1.0))
     score = pc.multiply(
         pa.scalar(100.0),
@@ -194,7 +186,7 @@ def quality_batch(batch: pa.Table, *, text_col: str = "text",
     return pa.table({
         id_col: batch[id_col],
         "n_chars2": n_chars,
-        "n_tokens_ws": ws_tokens.cast(pa.int64()),
+        "n_tokens_ws": n_tokens.cast(pa.int64()),
         "stop_ratio": r4(stop_ratio),
         "alpha_ratio": r4(alpha_ratio),
         "digit_ratio": r4(digit_ratio),
@@ -372,7 +364,7 @@ def token_stats_sql(table: str = "documents", text_col: str = "text",
     return f"""
 SELECT {id_col},
   length({c}) AS n_chars2,
-  len(regexp_split_to_array({trim_sql(c)}, '{WS_PATTERN}')) AS n_tokens_ws,
+  len({ws_tokens_sql(c)}) AS n_tokens_ws,
   len(regexp_extract_all({c}, '{TOKEN_PATTERN}')) AS n_tokens_re,
   len(regexp_extract_all({c}, '{DIGIT_PATTERN}')) AS n_digits,
   len(regexp_extract_all({c}, '{UPPER_PATTERN}')) AS n_upper,
@@ -391,8 +383,8 @@ WITH f AS (
   SELECT {id_col},
     length({c}) AS n_chars2,
     greatest(CAST(length({c}) AS DOUBLE), 1.0) AS safe_chars,
-    CAST(len(regexp_split_to_array({trim_sql(c)}, '{WS_PATTERN}')) AS DOUBLE) AS toks,
-    greatest(CAST(len(regexp_split_to_array({trim_sql(c)}, '{WS_PATTERN}')) AS DOUBLE), 1.0) AS safe_toks,
+    CAST(len({ws_tokens_sql(c)}) AS DOUBLE) AS toks,
+    greatest(CAST(len({ws_tokens_sql(c)}) AS DOUBLE), 1.0) AS safe_toks,
     CAST(len(regexp_extract_all({c}, '{stopword_pattern("en")}')) AS DOUBLE) AS stop,
     CAST(len(regexp_extract_all({c}, '[A-Za-z]')) AS DOUBLE) AS alpha,
     CAST(len(regexp_extract_all({c}, '{DIGIT_PATTERN}')) AS DOUBLE) AS digits
@@ -474,23 +466,15 @@ def repetition_stats_batch(batch: pa.Table, *, text_col: str = "text",
     (doc_id, n_words, distinct_frac, top_word_frac, top_bigram_frac),
     fractions quantized 4 dp.  Fully vectorized: one Arrow tokenize, one
     ``group_by`` per n-gram order, numpy scatter reductions — no Python
-    per document.
+    per document.  Text without tokens (null, empty or whitespace-only)
+    gives no row, as in the SQL oracle, where unnest of an empty or null
+    token array emits nothing for the document.
     """
     import numpy as np
 
-    # null text ⇒ no row (mirrors the SQL oracle, where unnest of a null
-    # token array emits nothing for the document)
-    batch = batch.filter(pc.is_valid(batch[text_col]))
-    # RE2 trim on BOTH sides (pyarrow and DuckDB share RE2, so the oracle's
-    # regexp_replace is bit-compatible; utf8_trim_whitespace strips unicode
-    # spaces that DuckDB trim()/RE2 \s do not)
-    toks = pc.split_pattern_regex(
-        pc.replace_substring_regex(batch[text_col], r"^\s+|\s+$", ""),
-        WS_PATTERN)
-    n = batch.num_rows
-    n_words = np.asarray(pc.list_value_length(toks), dtype=np.int64)
-    flat = pc.list_flatten(toks)
-    parents = np.asarray(pc.list_parent_indices(toks), dtype=np.int64)
+    flat, parents, n = doc_ngrams_batch(batch[text_col], 1)
+    parents = np.asarray(parents, dtype=np.int64)
+    n_words = np.bincount(parents, minlength=n)
 
     g = (pa.table({"d": pa.array(parents), "w": flat})
          .group_by(["d", "w"]).aggregate([("w", "count")]))
@@ -532,7 +516,7 @@ def repetition_stats_batch(batch: pa.Table, *, text_col: str = "text",
         "distinct_frac": pa.array(frac(n_distinct, n_words), pa.float64()),
         "top_word_frac": pa.array(frac(max_word, n_words), pa.float64()),
         "top_bigram_frac": pa.array(frac(max_big, n_big), pa.float64()),
-    })
+    }).filter(pa.array(n_words > 0))
 
 
 def apply_repetition_stats(ds, **kw):
@@ -545,9 +529,7 @@ def repetition_stats_sql(table: str = "documents", text_col: str = "text",
     return f"""
 WITH toks AS (
   SELECT {id_col},
-         unnest(regexp_split_to_array(
-             regexp_replace({text_col}, '^\\s+|\\s+$', '', 'g'),
-             '{WS_PATTERN}')) AS w
+         unnest({ws_tokens_sql(text_col)}) AS w
   FROM {table}
 ),
 cnt AS (SELECT {id_col}, w, count(*) AS c FROM toks GROUP BY 1, 2),
@@ -558,11 +540,7 @@ bt AS (
   SELECT {id_col},
          unnest(list_transform(range(1, len(a)),
                                i -> a[i] || ' ' || a[i + 1])) AS g
-  FROM (SELECT {id_col},
-               regexp_split_to_array(
-                   regexp_replace({text_col}, '^\\s+|\\s+$', '', 'g'),
-                   '{WS_PATTERN}') AS a
-        FROM {table})
+  FROM (SELECT {id_col}, {ws_tokens_sql(text_col)} AS a FROM {table})
 ),
 bc AS (SELECT {id_col}, g, count(*) AS c FROM bt GROUP BY 1, 2),
 bagg AS (SELECT {id_col}, CAST(sum(c) AS BIGINT) AS n_big, max(c) AS max_bc

@@ -15,11 +15,12 @@ partial counts.
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-#: whitespace tokenization, matching the SQL oracle's regexp_split_to_array
-WS_PATTERN = r"\s+"
+#: interior token separator on both engines (RE2, ASCII ``\s`` only)
+_WS_PATTERN = r"\s+"
 
 #: code points ``pc.utf8_trim_whitespace`` strips: Unicode White_Space
 #: plus the ASCII separators 0x1c-0x1f
@@ -28,12 +29,49 @@ _TRIM_CODEPOINTS = (0x09, 0x0A, 0x0B, 0x0C, 0x0D, 0x1C, 0x1D, 0x1E, 0x1F,
                     0x2028, 0x2029, 0x202F, 0x205F, 0x3000)
 
 
-def trim_sql(col: str) -> str:
+def _trim_sql(col: str) -> str:
     """DuckDB twin of ``pc.utf8_trim_whitespace``: one-argument ``trim``
-    strips only spaces, so text that starts or ends with a newline would
-    split into an extra empty token in the oracle alone."""
+    strips spaces (Unicode Zs) but keeps tabs, newlines and the other
+    control-range whitespace."""
     chars = " || ".join(f"chr({c})" for c in _TRIM_CODEPOINTS)
     return f"trim({col}, {chars})"
+
+
+def ws_tokens(col) -> pa.ListArray:
+    """The corpus whitespace tokenizer, as one ``list<string>`` chunk —
+    every token-counting, -hashing and n-gram operator splits text here:
+
+    - the edges are trimmed of Unicode White_Space plus the ASCII
+      separators 0x1c-0x1f (``utf8_trim_whitespace``);
+    - the rest splits on RE2 ``\\s+``, which is ASCII only, so an interior
+      U+3000 or NBSP joins its neighbours (``"gamma\\u3000alpha"`` is one
+      token);
+    - ``""`` and whitespace-only text give ``[]``;
+    - null gives null.
+
+    :func:`ws_tokens_sql` is the DuckDB twin; both use RE2, so the oracles
+    tokenize bit-identically."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    toks = pc.split_pattern_regex(pc.utf8_trim_whitespace(col), _WS_PATTERN)
+    flat = toks.values
+    empty = np.asarray(pc.equal(flat, ""))
+    if not empty.any():
+        return toks
+    # the split of an emptied text is [""]: drop empty tokens and shift
+    # each row's offsets by the empties before it
+    offsets = np.asarray(toks.offsets)
+    before = np.r_[0, np.cumsum(empty)]
+    return pa.ListArray.from_arrays(
+        pa.array(offsets - before[offsets], pa.int32()),
+        flat.filter(pa.array(~empty)), mask=toks.is_null())
+
+
+def ws_tokens_sql(col: str) -> str:
+    """DuckDB twin of :func:`ws_tokens`: the same trim, the same RE2 split,
+    and no empty token, so ``""`` and whitespace-only text give ``[]``."""
+    return (f"list_filter(regexp_split_to_array({_trim_sql(col)}, "
+            f"'{_WS_PATTERN}'), ws_tok -> ws_tok <> '')")
 
 
 def doc_ngrams_batch(text_col, n: int):
@@ -41,14 +79,14 @@ def doc_ngrams_batch(text_col, n: int):
     the shared aligned-slice kernel: join n aligned slices of the
     flattened token stream element-wise, keep positions whose first and
     last token share a document (``list_parent_indices``) — no Python
-    token loop.  Null text contributes no grams (its row still counts
-    toward ``n_docs``).
+    token loop.  Text without tokens (:func:`ws_tokens`) contributes no
+    grams (its row still counts toward ``n_docs``).
 
-    Returns ``(grams, parents, n_docs)``; used by vocabulary counting
-    (grams only) and decontamination (grams + parent rows).
+    Returns ``(grams, parents, n_docs)``; at ``n=1`` that is the flat
+    token stream plus each token's row, which every per-token operator
+    (pair builders, scorers, sketches, substring dedup) reads.
     """
-    toks = pc.split_pattern_regex(
-        pc.utf8_trim_whitespace(text_col), WS_PATTERN)
+    toks = ws_tokens(text_col)
     n_docs = len(toks)
     flat = pc.list_flatten(toks)
     parents = pc.list_parent_indices(toks)
@@ -111,18 +149,12 @@ def tokenize_ids(ds, model: pa.Table, *, text_col: str = "text",
         import numpy as np
 
         vocab = ray.get(ref)          # zero-copy local plasma read
-        # null text → '' (one empty-string OOV token after the split) so
-        # the row SURVIVES with a defined encoding — mirrored by the
-        # oracle's COALESCE; a validity-less ListArray rebuild would
-        # otherwise silently turn null lists into empty ones and drop the
-        # doc from the SQL side only
+        # null text → '' → no tokens, so the row SURVIVES with ids=[],
+        # n_tokens=0 — mirrored by the oracle's LEFT JOIN back to the table
         tcol = b[text_col]
         if tcol.null_count:
             tcol = pc.fill_null(tcol, "")
-        toks = pc.split_pattern_regex(
-            pc.utf8_trim_whitespace(tcol), WS_PATTERN)
-        if isinstance(toks, pa.ChunkedArray):
-            toks = toks.combine_chunks()
+        toks = ws_tokens(tcol)
         flat = pc.list_flatten(toks)
         idx = pc.index_in(flat, value_set=vocab)
         ids_flat = pc.fill_null(
@@ -150,12 +182,11 @@ def tokenize_ids_sql(vocab_size: int, *, table: str = "documents",
                      text_col: str = "text", id_col: str = "doc_id") -> str:
     """Oracle: same tokenizer, same (n desc, token asc) rank ids, OOV=0,
     ids projected to a CSV string (list columns don't hash in the
-    compare frame)."""
+    compare frame); a document without tokens is joined back with zero
+    counts, since ``unnest([])`` drops it."""
     return f"""
 WITH lists AS (
-  SELECT {id_col},
-         regexp_split_to_array({trim_sql(f"COALESCE({text_col}, '')")},
-                               '{WS_PATTERN}') AS toks
+  SELECT {id_col}, {ws_tokens_sql(text_col)} AS toks
   FROM {table}),
 tok AS (
   SELECT {id_col}, unnest(toks) AS token,
@@ -164,14 +195,20 @@ tok AS (
 model AS (
   SELECT token, row_number() OVER (ORDER BY n DESC, token) AS tid
   FROM (SELECT token, CAST(count(*) AS BIGINT) AS n FROM tok
-        GROUP BY token ORDER BY n DESC, token LIMIT {vocab_size}))
-SELECT t.{id_col},
-       CAST(count(*) AS BIGINT) AS n_tokens,
-       CAST(count(*) FILTER (m.tid IS NULL) AS BIGINT) AS n_oov,
-       string_agg(CAST(COALESCE(m.tid, 0) AS VARCHAR), ','
-                  ORDER BY t.i) AS ids_csv
-FROM tok t LEFT JOIN model m USING (token)
-GROUP BY t.{id_col}"""
+        GROUP BY token ORDER BY n DESC, token LIMIT {vocab_size})),
+enc AS (
+  SELECT t.{id_col},
+         CAST(count(*) AS BIGINT) AS n_tokens,
+         CAST(count(*) FILTER (m.tid IS NULL) AS BIGINT) AS n_oov,
+         string_agg(CAST(COALESCE(m.tid, 0) AS VARCHAR), ','
+                    ORDER BY t.i) AS ids_csv
+  FROM tok t LEFT JOIN model m USING (token)
+  GROUP BY t.{id_col})
+SELECT d.{id_col},
+       COALESCE(e.n_tokens, 0) AS n_tokens,
+       COALESCE(e.n_oov, 0) AS n_oov,
+       COALESCE(e.ids_csv, '') AS ids_csv
+FROM {table} d LEFT JOIN enc e USING ({id_col})"""
 
 
 def doc_frequency(ds, *, text_col: str = "text", id_col: str = "doc_id"):
@@ -185,12 +222,8 @@ def doc_frequency(ds, *, text_col: str = "text", id_col: str = "doc_id"):
     replace the aggregate with ``map_groups`` writing sorted id runs.
     """
     def pairs(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(
-            pc.utf8_trim_whitespace(b[text_col]), WS_PATTERN)
-        ids = b[id_col]
-        flat = pc.list_flatten(toks)
-        parents = pc.list_parent_indices(toks)
-        doc = pc.take(ids, parents)
+        flat, parents, _ = doc_ngrams_batch(b[text_col], 1)
+        doc = pc.take(b[id_col], parents)
         t = pa.table({"token": flat, id_col: doc})
         # distinct within doc (== globally distinct): vectorized group_by
         return t.group_by(["token", id_col]).aggregate([])
@@ -209,10 +242,7 @@ SELECT token,
        CAST(count(*) AS BIGINT) AS n_docs,
        min({id_col}) AS min_doc, max({id_col}) AS max_doc
 FROM (SELECT {id_col},
-             unnest(list_distinct(
-                 regexp_split_to_array({trim_sql(text_col)},
-                                       '{WS_PATTERN}')))
-               AS token
+             unnest(list_distinct({ws_tokens_sql(text_col)})) AS token
       FROM {table})
 GROUP BY token"""
 
@@ -253,10 +283,8 @@ def tfidf_top_term(ds, n_corpus: int, *, text_col: str = "text",
         num_partitions = max(2, min(32, cluster_cpus()))
 
     def tf_pairs(b: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(
-            pc.utf8_trim_whitespace(b[text_col]), WS_PATTERN)
-        flat = pc.list_flatten(toks)
-        doc = pc.take(b[id_col], pc.list_parent_indices(toks))
+        flat, parents, _ = doc_ngrams_batch(b[text_col], 1)
+        doc = pc.take(b[id_col], parents)
         t = pa.table({id_col: doc, "token": flat})
         g = t.group_by([id_col, "token"]).aggregate([("token", "count")])
         return pa.table({id_col: g[id_col], "token": g["token"],
@@ -317,8 +345,7 @@ def tfidf_top_term_sql(n_corpus, table: str = "documents",
 WITH pairs AS (
   SELECT {id_col}, token, CAST(count(*) AS BIGINT) AS tf
   FROM (SELECT {id_col},
-               unnest(regexp_split_to_array({trim_sql(text_col)},
-                                            '{WS_PATTERN}')) AS token
+               unnest({ws_tokens_sql(text_col)}) AS token
         FROM {table})
   GROUP BY {id_col}, token
 ),
@@ -344,15 +371,12 @@ def vocab_topk_sql(k: int = 100, table: str = "documents",
     if ngram == 1:
         return f"""
 SELECT token, CAST(count(*) AS BIGINT) AS n
-FROM (SELECT unnest(regexp_split_to_array({trim_sql(text_col)},
-                                          '{WS_PATTERN}'))
-        AS token FROM {table})
+FROM (SELECT unnest({ws_tokens_sql(text_col)}) AS token FROM {table})
 GROUP BY token ORDER BY n DESC, token LIMIT {k}"""
     # adjacent-token n-grams built with list lambdas (no ordinality needed)
     return f"""
 WITH l AS (
-  SELECT regexp_split_to_array({trim_sql(text_col)}, '{WS_PATTERN}') AS toks
-  FROM {table}
+  SELECT {ws_tokens_sql(text_col)} AS toks FROM {table}
 ),
 g AS (
   SELECT unnest(list_transform(range(1, len(toks)),

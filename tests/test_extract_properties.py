@@ -567,15 +567,15 @@ def test_chunk_documents_matches_brute(ray_session, case):
     ds = ray.data.from_arrow(pa.table({
         "doc_id": pa.array(list(range(n)), pa.int64()),
         "text": pa.array(texts, pa.string())}))
-    out = (chunk_documents(ds, window=w, stride=s)
-           .to_pandas().sort_values(["doc_id", "chunk_id"])
-           .reset_index(drop=True))
+    # rows, not a DataFrame: a corpus of empty documents yields no chunks
+    got = sorted(tuple(r.values()) for r in
+                 chunk_documents(ds, window=w, stride=s).take_all())
 
     want = []
     for i, txt in enumerate(texts):
-        toks = txt.strip().split()
-        if txt.strip() == "":
-            toks = [""]          # split('') == [''] on both engines
+        toks = txt.split()
+        if not toks:
+            continue             # a document without tokens has no chunks
         start = 0
         cid = 0
         while True:
@@ -585,8 +585,6 @@ def test_chunk_documents_matches_brute(ray_session, case):
                 break
             start += s
             cid += 1
-    got = [(int(r.doc_id), int(r.chunk_id), int(r.tok_start),
-            int(r.tok_end), r.chunk_text) for r in out.itertuples()]
     assert got == want
 
 

@@ -561,14 +561,14 @@ def test_tokenize_ids_rank_and_oov(ray_session):
     assert list(out[1]["ids"]) == [1, 2, 3, 0, 1, 0]
     assert out[1]["n_tokens"] == 6 and out[1]["n_oov"] == 2
     assert list(out[2]["ids"]) == [3, 3] and out[2]["n_oov"] == 0
-    # null text survives as one empty-string OOV token (the COALESCE('')
-    # contract mirrored by the SQL oracle) — the row is never dropped
+    # null text survives with no tokens (the SQL oracle joins the row
+    # back) — the row is never dropped
     nd = ray.data.from_arrow(pa.table({
         "doc_id": pa.array([9], pa.int64()),
         "text": pa.array([None], pa.string())}))
     row = tokenize_ids(nd, model).take_all()[0]
-    assert list(row["ids"]) == [0] and row["n_tokens"] == 1 \
-        and row["n_oov"] == 1
+    assert list(row["ids"]) == [] and row["n_tokens"] == 0 \
+        and row["n_oov"] == 0
 
 
 def test_compression_ratio_signal():
@@ -1805,19 +1805,20 @@ def test_doc_frequency_edge_whitespace_matches_oracle(ray_session):
 def test_token_stats_and_quality_edge_whitespace_match_oracle():
     """Text that starts or ends with newlines, tabs or U+3000 gives the
     same whitespace-token count (and so the same quality score) from the
-    operators and their DuckDB oracles."""
+    operators and their DuckDB oracles; empty and whitespace-only text
+    has no tokens, null text a null count."""
     from org_dharts_dia_tesseract_ray.functions.text_stats import (
         quality_batch, quality_sql, token_stats_batch, token_stats_sql)
-    t = pa.table({"doc_id": pa.array([1, 2, 3], pa.int64()),
+    t = pa.table({"doc_id": pa.array([1, 2, 3, 4, 5, 6], pa.int64()),
                   "text": ["\nalpha beta\n", "\t the cat \n\n",
-                           "gamma\u3000"]})
+                           "gamma\u3000", "", " \n ", None]})
     con = duckdb.connect()
     con.register("documents", t)
     for op, sql in ((token_stats_batch, token_stats_sql),
                     (quality_batch, quality_sql)):
         got = op(t).to_pylist()
         assert got == con.execute(sql()).fetch_arrow_table().to_pylist()
-        assert [r["n_tokens_ws"] for r in got] == [2, 2, 1]
+        assert [r["n_tokens_ws"] for r in got] == [2, 2, 1, 0, 0, None]
     assert quality_batch(t)["quality_score"][0].as_py() == 40.4
 
 
@@ -1842,6 +1843,76 @@ def test_unigram_score_matches_oracle(ray_session):
     want = sorted(con.execute(unigram_score_sql(3)).fetchall())
     assert got == want
     assert [r[1] for r in want] == [2, 2, 3, 0, 2]
+
+
+def test_text_without_tokens_matches_oracles(ray_session, tmp_path):
+    """Empty, whitespace-only and null text have no whitespace tokens on
+    either side: ``score_unigram``, ``tokenize_ids`` (the row is kept with
+    zero counts) and the token_budget and pack_sequences queries equal
+    their DuckDB oracles, and an interior U+3000 does not split a token."""
+    import ray.data
+
+    import __ray_entry__ as entry
+    from org_dharts_dia_tesseract_ray.functions.lm_score import (
+        build_unigram_model, score_unigram, unigram_score_sql)
+    from org_dharts_dia_tesseract_ray.functions.vocab import (
+        tokenize_ids, tokenize_ids_sql)
+    t = pa.table({"doc_id": pa.array(range(1, 7), pa.int64()),
+                  "lang": ["en", "en", "de", "de", "en", "de"],
+                  "text": ["alpha beta", "", " \n ", None,
+                           "gamma\u3000alpha beta", "\tbeta\n"]})
+    con = duckdb.connect()
+    con.register("documents", t)
+    ds = ray.data.from_arrow(t).repartition(2)
+
+    def rows(out, cols=None):
+        return sorted(tuple(r[c] for c in (cols or r)) for r in out)
+
+    model = build_unigram_model(ds, vocab_size=2)
+    got = rows(score_unigram(ds, model).take_all(),
+               ["doc_id", "n_tokens", "n_oov", "sum_freq", "mean_freq"])
+    assert got == sorted(con.execute(unigram_score_sql(2)).fetchall())
+    assert [r[1] for r in got] == [2, 0, 0, 0, 2, 1]
+    got = sorted((r["doc_id"], r["n_tokens"], r["n_oov"],
+                  ",".join(str(i) for i in r["ids"]))
+                 for r in tokenize_ids(ds, model).take_all())
+    assert got == sorted(con.execute(tokenize_ids_sql(2)).fetchall())
+    assert got[1:4] == [(2, 0, 0, ""), (3, 0, 0, ""), (4, 0, 0, "")]
+    pq.write_table(t, tmp_path / "documents.parquet")
+    for query, sql in ((entry._q_token_budget, entry._token_budget_sql()),
+                       (entry._q_pack_sequences,
+                        entry._pack_sequences_sql_q())):
+        assert rows(query(str(tmp_path)).take_all()) \
+            == sorted(con.execute(sql).fetchall())
+
+
+def test_whitespace_tokenizer_lives_in_vocab_only():
+    """The whitespace split and its edge trim are written once, in
+    ``functions/vocab.py``; every other module and ``__ray_entry__``
+    tokenize through ``vocab.ws_tokens``/``ws_tokens_sql``.  The only
+    other uses are linefilter's line split on newlines and
+    normalize_text's trim."""
+    import inspect
+    import pathlib
+
+    from org_dharts_dia_tesseract_ray.functions import linefilter
+    from org_dharts_dia_tesseract_ray.functions.text_stats import (
+        normalize_text_batch)
+    repo = pathlib.Path(__file__).resolve().parent.parent
+    pkg = repo / "org_dharts_dia_tesseract_ray"
+    files = {str(f.relative_to(pkg)): f for f in pkg.rglob("*.py")}
+    files["__ray_entry__.py"] = repo / "__ray_entry__.py"
+    names = ("split_pattern_regex", "regexp_split_to_array",
+             "utf8_trim_whitespace", "WS_PATTERN", "trim_sql")
+    found = {(rel, name): f.read_text().count(name)
+             for rel, f in files.items() if rel != "functions/vocab.py"
+             for name in names}
+    assert {k: n for k, n in found.items() if n} == {
+        ("functions/linefilter.py", "regexp_split_to_array"): 1,
+        ("functions/text_stats.py", "utf8_trim_whitespace"): 1}
+    assert "regexp_split_to_array({c}, '\\n')" in inspect.getsource(
+        linefilter)
+    assert "utf8_trim_whitespace" in inspect.getsource(normalize_text_batch)
 
 
 # ---------------------------------------------------------------------------
@@ -1946,9 +2017,8 @@ def test_heavy_hitters_exact_when_under_capacity(ray_session):
                         k=10).to_pandas()
     assert out["err_bound"].eq(0).all()
     got = dict(zip(out["token"], out["n"]))
-    # the whitespace-only doc contributes one empty token — same convention
-    # as the vocab oracle (regexp_split_to_array of a trimmed empty string)
-    assert got == {"a": 4, "b": 3, "c": 1, "": 1}
+    # the whitespace-only doc has no tokens (vocab.ws_tokens)
+    assert got == {"a": 4, "b": 3, "c": 1}
 
 
 def test_bloom_probe_positions_properties():
