@@ -132,10 +132,10 @@ class _Para:
     link_chars: int = 0    # normalized chars inside <a>
     inline_tags: int = 0   # inline tags opened while para open (density input)
     in_selector: bool = True
-    # per-line word bitmasks (1=sub, 2=sup, 4..32 = _FONT_BITS font
-    # attributes), parallel to ``lines``; None when the paragraph contains
-    # no masked content (the common fast path)
-    word_masks: list | None = None
+    # per-word bitmasks (1=sub, 2=sup, 4..32 = _FONT_BITS font
+    # attributes) of all ``lines`` in word order; None when the paragraph
+    # contains no masked content (the common fast path)
+    word_masks: list[int] | None = None
     # classic dropcap markup detected: the paragraph's first text node is a
     # single uppercase letter split out of its word by an inline element
     # (<span class="dropcap">O</span>nce …)
@@ -215,7 +215,7 @@ class _SegmentingParser(HTMLParser):
         # original normalization
         any_mask = any(it[0] == "txt" and it[3] for it in self._items)
         lines: list[str] = []
-        masks: list = []
+        masks: list[int] = []
         cur: list[tuple] = []
         total = 0
         link_total = 0
@@ -227,7 +227,6 @@ class _SegmentingParser(HTMLParser):
                 text = _WS_RE.sub(" ", raw).strip()
                 if text:
                     lines.append(text)
-                    masks.append(None)
                     total += len(text)
             else:
                 # Run-based token masks: ``cur`` is a short list of
@@ -265,7 +264,7 @@ class _SegmentingParser(HTMLParser):
                     # the byte-identity invariant of the fast path
                     text = " ".join(toks)
                     lines.append(text)
-                    masks.append(tmasks)
+                    masks.extend(tmasks)
                     total += len(text)
             cur = []
 
@@ -877,39 +876,38 @@ def segment_html(text: str, cfg: ExtractConfig) -> list[_Block]:
 
 
 def assemble(blocks: list[_Block], lang: str | None, cfg: ExtractConfig) -> ExtractResult:
-    """Blocks → final text + span rows in one pass (offsets always index the
-    final text; never post-hoc searched — SURVEY.md §7 hard-part #2).
+    """Blocks → final text + block/para/line span rows in one pass (offsets
+    always index the final text; never post-hoc searched — SURVEY.md §7
+    hard-part #2).
 
     Text layout: blocks joined by "\\n\\n"; paragraphs within a block and
     lines within a paragraph joined by "\\n".  Non-text blocks contribute no
-    text and carry zero-length spans at their reading-order position, with
-    exactly one synthetic para/line/word (BasePageHandle.java:111-114).
+    text and carry zero-length spans at their reading-order position: one
+    synthetic para and line here, and the one zero-length word that
+    ``extract.spans`` gives such a line (BasePageHandle.java:111-114).
+
+    Word rows are not built here: ``extract.spans`` derives them per batch
+    from the line spans and the final text.  All they need beyond that is
+    recorded on the result: each masked paragraph's per-word masks and each
+    dropcap paragraph, keyed by the paragraph's ``node_id``.
     """
     stop = stopwords_for(lang)
     parts: list[str] = []
-    spans: list[Span] = []
+    outline: list[Span] = []
+    word_masks: list[tuple[int, list[int]]] = []
+    dropcaps: list[int] = []
     offset = 0
-    next_id = 0
     text_block_confs: list[float] = []
-
-    def nid() -> int:
-        nonlocal next_id
-        next_id += 1
-        return next_id - 1
 
     first_text_block = True
     for blk in blocks:
+        bt = blk.btype
         if not blk.paras or not any(p.lines for p in blk.paras):
             # non-text block (image / rule): zero-length hierarchy
-            bid = nid()
-            bt = blk.btype
-            spans.append(Span(bid, -1, Level.BLOCK, bt, offset, offset, 0.0, 0.0, 0.0))
-            pid = nid()
-            spans.append(Span(pid, bid, Level.PARA, bt, offset, offset, 0.0, 0.0, 0.0))
-            lid = nid()
-            spans.append(Span(lid, pid, Level.LINE, bt, offset, offset, 0.0, 0.0, 0.0))
-            if cfg.emit_word_spans:
-                spans.append(Span(nid(), lid, Level.WORD, bt, offset, offset, 0.0, 0.0, 0.0))
+            bid = len(outline)
+            outline += (Span(bid, -1, Level.BLOCK, bt, offset, offset, 0.0, 0.0, 0.0),
+                        Span(bid + 1, bid, Level.PARA, bt, offset, offset, 0.0, 0.0, 0.0),
+                        Span(bid + 2, bid + 1, Level.LINE, bt, offset, offset, 0.0, 0.0, 0.0))
             continue
 
         if not first_text_block:
@@ -917,9 +915,9 @@ def assemble(blocks: list[_Block], lang: str | None, cfg: ExtractConfig) -> Extr
             offset += 2
         first_text_block = False
 
-        bid = nid()
-        block_span = Span(bid, -1, Level.BLOCK, blk.btype, offset, offset, 0.0, 0.0, 0.0)
-        spans.append(block_span)
+        bid = len(outline)
+        block_span = Span(bid, -1, Level.BLOCK, bt, offset, offset, 0.0, 0.0, 0.0)
+        outline.append(block_span)
         blk_chars = 0
         blk_links = 0.0
         blk_conf_w = 0.0
@@ -936,36 +934,21 @@ def assemble(blocks: list[_Block], lang: str | None, cfg: ExtractConfig) -> Extr
             ld = para.link_chars / para.chars if para.chars else 0.0
             td = para.chars / (para.chars + 8.0 * (1 + para.inline_tags)) if para.chars else 0.0
             conf = _para_confidence(ptext, ld, stop)
-            pid = nid()
-            pspan = Span(pid, bid, Level.PARA, blk.btype, offset, offset, conf,
+            pid = len(outline)
+            pspan = Span(pid, bid, Level.PARA, bt, offset, offset, conf,
                          round(td, 4), round(ld, 4))
-            spans.append(pspan)
+            outline.append(pspan)
+            if para.word_masks:
+                word_masks.append((pid, para.word_masks))
+            if para.dropcap_first:
+                dropcaps.append(pid)
             for line_idx, line in enumerate(para.lines):
                 if line_idx:
                     parts.append("\n")
                     offset += 1
-                lid = nid()
-                lspan = Span(lid, pid, Level.LINE, blk.btype, offset,
-                             offset + len(line), conf, pspan.text_density, pspan.link_density)
-                spans.append(lspan)
-                if cfg.emit_word_spans:
-                    # line text is already whitespace-collapsed: words are
-                    # maximal runs of non-space, separated by single spaces
-                    lmasks = (para.word_masks[line_idx]
-                              if para.word_masks else None)
-                    words = line.split(" ")
-                    pos = 0
-                    for w_idx, w in enumerate(words):
-                        if w:
-                            m = lmasks[w_idx] if lmasks else 0
-                            drop = (line_idx == 0 and w_idx == 0
-                                    and para.dropcap_first)
-                            spans.append(Span(nid(), lid, Level.WORD, blk.btype,
-                                              offset + pos, offset + pos + len(w),
-                                              conf, pspan.text_density, pspan.link_density,
-                                              bool(m & 1), bool(m & 2), drop,
-                                              m >> 2))
-                        pos += len(w) + 1
+                outline.append(Span(len(outline), pid, Level.LINE, bt, offset,
+                                    offset + len(line), conf, pspan.text_density,
+                                    pspan.link_density))
                 parts.append(line)
                 offset += len(line)
             pspan.end = offset
@@ -986,11 +969,11 @@ def assemble(blocks: list[_Block], lang: str | None, cfg: ExtractConfig) -> Extr
             block_span.confidence = round(blk_conf_w / blk_chars, 4)
             text_block_confs.append(block_span.confidence)
 
-    text = "".join(parts)
-    n_blocks = len(blocks)
     doc_conf = round(sum(text_block_confs) / len(text_block_confs), 4) if text_block_confs else 0.0
     return ExtractResult(
-        text=text, spans=spans, doc_confidence=doc_conf, n_blocks=n_blocks,
+        text="".join(parts), outline=outline, word_masks=word_masks,
+        dropcaps=dropcaps, word_spans=cfg.emit_word_spans,
+        doc_confidence=doc_conf, n_blocks=len(blocks),
         payload_kind=PayloadKind.HTML,
     )
 

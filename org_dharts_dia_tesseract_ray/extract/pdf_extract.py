@@ -22,6 +22,12 @@ from ..config import ExtractConfig
 from .html_extract import _Block, _Para, assemble
 from .types import BlockType, ExtractResult, PayloadKind
 
+#: decompressed bytes all FlateDecode streams of one document may expand
+#: to, together; past it the document becomes a ``limit:flate_bytes``
+#: error row.  A fixed byte count, not a time limit, so the outcome is the
+#: same on every machine; parsing this much text costs a few seconds.
+MAX_FLATE_BYTES = 4 << 20
+
 _STREAM_RE = re.compile(rb"<<(.*?)>>\s*stream\r?\n(.*?)endstream", re.S)
 _BT_RE = re.compile(rb"BT(.*?)ET", re.S)
 # (string) Tj | (string) ' | <hex> Tj/' — single text-showing ops — and
@@ -80,17 +86,28 @@ def _decode_pdf_string(raw: bytes) -> str:
 def extract_pdf(payload: bytes, lang: str | None, cfg: ExtractConfig) -> ExtractResult:
     """``%PDF-`` payload → ExtractResult (text + spans), or error result."""
     paras: list[_Para] = []
+    budget = MAX_FLATE_BYTES
     try:
         for m in _STREAM_RE.finditer(payload):
             sdict, data = m.group(1), m.group(2)
             if b"FlateDecode" in sdict:
+                # NO strip: trailing 0x0a/0x0d may be adler32 checksum
+                # bytes of the stream itself; zlib tolerates trailing
+                # garbage but not missing checksum bytes
+                z = zlib.decompressobj()
                 try:
-                    # NO strip: trailing 0x0a/0x0d may be adler32 checksum
-                    # bytes of the stream itself; zlib tolerates trailing
-                    # garbage but not missing checksum bytes
-                    data = zlib.decompress(data)
+                    out = z.decompress(data, budget + 1)
                 except zlib.error:
                     continue
+                if len(out) > budget:
+                    return ExtractResult(
+                        payload_kind=PayloadKind.ERROR,
+                        error=f"limit:flate_bytes: FlateDecode streams "
+                              f"expand past {MAX_FLATE_BYTES} bytes")
+                if not z.eof:
+                    continue     # truncated stream
+                budget -= len(out)
+                data = out
             for bt in _BT_RE.finditer(data):
                 lines: list[str] = []
                 for op in _TJ_RE.finditer(bt.group(1)):

@@ -123,9 +123,30 @@ class ExtractResult:
     its ``spans`` rows)."""
 
     text: str = ""
-    spans: list[Span] = field(default_factory=list)
+    #: block, para and line spans in depth-first order, ``node_id`` = list
+    #: position; word rows are interleaved later (``extract.spans``)
+    outline: list[Span] = field(default_factory=list)
+    #: (para ``node_id`` in ``outline``, the paragraph's per-word masks in
+    #: word order) for each paragraph with sub/sup/font markup
+    word_masks: list[tuple[int, list[int]]] = field(default_factory=list)
+    #: ``node_id`` in ``outline`` of each paragraph whose first word is a
+    #: dropcap
+    dropcaps: list[int] = field(default_factory=list)
+    word_spans: bool = True      # ExtractConfig.emit_word_spans of the run
     doc_confidence: float = 0.0
     n_blocks: int = 0
     payload_kind: str = PayloadKind.EMPTY
     charset: str = ""            # decode path actually used ("utf-8", "latin-1", ...)
     error: str | None = None
+    _spans: list[Span] | None = field(default=None, init=False, repr=False,
+                                      compare=False)
+
+    @property
+    def spans(self) -> list[Span]:
+        """All span rows, words included, in depth-first ``node_id``
+        order — built on first access by the batch word derivation over
+        this one document."""
+        if self._spans is None:
+            from .spans import span_list
+            self._spans = span_list(self)
+        return self._spans

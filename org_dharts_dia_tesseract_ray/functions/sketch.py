@@ -60,19 +60,6 @@ def hll_estimate(registers: np.ndarray) -> float:
     return raw
 
 
-def _mix64(h: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer — the polynomial hash has weak top-bit
-    avalanche, and HLL indexes by the TOP bits."""
-    with np.errstate(over="ignore"):
-        h = h.copy()
-        h ^= h >> np.uint64(30)
-        h *= np.uint64(0xBF58476D1CE4E5B9)
-        h ^= h >> np.uint64(27)
-        h *= np.uint64(0x94D049BB133111EB)
-        h ^= h >> np.uint64(31)
-    return h
-
-
 def sketch_table(batch: pa.Table, *, key_col: str = "lang",
                  text_col: str = "text") -> pa.Table:
     """(key, sketch) — ONE vectorized pass over a whole table: Arrow

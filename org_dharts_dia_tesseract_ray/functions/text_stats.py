@@ -23,7 +23,7 @@ from __future__ import annotations
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from .vocab import doc_ngrams_batch, ws_tokens, ws_tokens_sql
+from .vocab import doc_ngrams_batch, join_ngrams, ws_tokens, ws_tokens_sql
 
 # ---------------------------------------------------------------------------
 # shared regex vocabulary (RE2 syntax — valid in pyarrow AND DuckDB)
@@ -472,8 +472,8 @@ def repetition_stats_batch(batch: pa.Table, *, text_col: str = "text",
     """
     import numpy as np
 
-    flat, parents, n = doc_ngrams_batch(batch[text_col], 1)
-    parents = np.asarray(parents, dtype=np.int64)
+    flat, tok_parents, n = doc_ngrams_batch(batch[text_col], 1)
+    parents = np.asarray(tok_parents, dtype=np.int64)
     n_words = np.bincount(parents, minlength=n)
 
     g = (pa.table({"d": pa.array(parents), "w": flat})
@@ -484,26 +484,16 @@ def repetition_stats_batch(batch: pa.Table, *, text_col: str = "text",
     max_word = np.zeros(n, dtype=np.int64)
     np.maximum.at(max_word, gd, gc)
 
-    # adjacent bigrams within documents (same aligned-slice trick as the
-    # vocabulary builder)
-    n_flat = len(flat)
-    n_big = np.zeros(n, dtype=np.int64)
+    # adjacent bigrams within documents
+    grams, gram_parents = join_ngrams(flat, tok_parents, 2)
+    bparents = np.asarray(gram_parents, dtype=np.int64)
+    n_big = np.bincount(bparents, minlength=n)
     max_big = np.zeros(n, dtype=np.int64)
-    if n_flat >= 2:
-        width = n_flat - 1
-        grams = pc.binary_join_element_wise(
-            flat.slice(0, width), flat.slice(1, width), " ")
-        same_doc = parents[:width] == parents[1:width + 1]
-        sel = np.flatnonzero(same_doc)
-        if len(sel):
-            bparents = parents[sel]
-            bg = (pa.table({"d": pa.array(bparents),
-                            "g": grams.take(pa.array(sel, pa.int64()))})
-                  .group_by(["d", "g"]).aggregate([("g", "count")]))
-            bd = np.asarray(bg["d"], dtype=np.int64)
-            bc = np.asarray(bg["g_count"], dtype=np.int64)
-            n_big = np.bincount(bparents, minlength=n)
-            np.maximum.at(max_big, bd, bc)
+    if len(bparents):
+        bg = (pa.table({"d": gram_parents, "g": grams})
+              .group_by(["d", "g"]).aggregate([("g", "count")]))
+        np.maximum.at(max_big, np.asarray(bg["d"], dtype=np.int64),
+                      np.asarray(bg["g_count"], dtype=np.int64))
 
     def frac(num, den):
         with np.errstate(invalid="ignore", divide="ignore"):

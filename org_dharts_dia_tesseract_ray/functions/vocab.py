@@ -74,34 +74,37 @@ def ws_tokens_sql(col: str) -> str:
             f"'{_WS_PATTERN}'), ws_tok -> ws_tok <> '')")
 
 
+def join_ngrams(flat, parents, n: int):
+    """Word ``n``-grams of a flat token stream plus the row each one
+    belongs to — the shared aligned-slice kernel: join n aligned slices of
+    ``flat`` element-wise, keep positions whose first and last token share
+    a row of ``parents`` — no Python token loop.  Returns
+    ``(grams, gram_parents)``."""
+    width = len(flat) - n + 1
+    if width <= 0:
+        return pa.array([], pa.string()), pa.array([], pa.int64())
+    grams = pc.binary_join_element_wise(
+        *(flat.slice(i, width) for i in range(n)), " ")
+    first = parents.slice(0, width)
+    same_doc = pc.equal(first, parents.slice(n - 1, width))
+    return grams.filter(same_doc), first.filter(same_doc)
+
+
 def doc_ngrams_batch(text_col, n: int):
-    """All word ``n``-grams of a batch plus the row each one belongs to —
-    the shared aligned-slice kernel: join n aligned slices of the
-    flattened token stream element-wise, keep positions whose first and
-    last token share a document (``list_parent_indices``) — no Python
-    token loop.  Text without tokens (:func:`ws_tokens`) contributes no
-    grams (its row still counts toward ``n_docs``).
+    """All word ``n``-grams of a batch plus the row each one belongs to
+    (:func:`join_ngrams` over the :func:`ws_tokens` stream).  Text without
+    tokens contributes no grams (its row still counts toward ``n_docs``).
 
     Returns ``(grams, parents, n_docs)``; at ``n=1`` that is the flat
     token stream plus each token's row, which every per-token operator
     (pair builders, scorers, sketches, substring dedup) reads.
     """
     toks = ws_tokens(text_col)
-    n_docs = len(toks)
     flat = pc.list_flatten(toks)
     parents = pc.list_parent_indices(toks)
     if n <= 1:
-        return flat, parents, n_docs
-    n_flat = len(flat)
-    if n_flat < n:
-        return pa.array([], pa.string()), pa.array([], pa.int64()), n_docs
-    width = n_flat - n + 1
-    parts = [flat.slice(i, width) for i in range(n)]
-    grams = pc.binary_join_element_wise(*parts, " ")
-    same_doc = pc.equal(parents.slice(0, width),
-                        parents.slice(n - 1, width))
-    return (grams.filter(same_doc), parents.slice(0, width).filter(same_doc),
-            n_docs)
+        return flat, parents, len(toks)
+    return (*join_ngrams(flat, parents, n), len(toks))
 
 
 def token_counts_batch(batch: pa.Table, *, text_col: str = "text",

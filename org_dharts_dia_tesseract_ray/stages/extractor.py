@@ -11,8 +11,12 @@ stores the config), so a plain task pool beats an actor pool here.
 Output schema = ``extracted`` document rows (SURVEY.md §1.3) plus a nested
 ``spans`` list<struct> column: ONE parse pass produces both tables; the
 ``spans`` table is a cheap columnar explode downstream
-(:func:`explode_spans`), never a re-parse.  The input ``html`` payload column
-is dropped on output so downstream blocks shrink (SURVEY.md §4 memory note).
+(:func:`explode_spans_batch`), never a re-parse.  ``extract_one`` runs per
+document and yields the text plus block, para and line spans; the word
+rows, about nine in ten span rows, are derived once per batch in columns
+(``extract.spans.span_array``), never one ``Span`` object per word.
+The input ``html`` payload column is dropped on output so downstream blocks
+shrink (SURVEY.md §4 memory note).
 """
 
 from __future__ import annotations
@@ -22,24 +26,7 @@ import pyarrow.compute as pc
 
 from ..config import ExtractConfig
 from ..extract.api import extract_one
-
-SPAN_STRUCT = pa.struct([
-    ("node_id", pa.int32()),
-    ("parent_id", pa.int32()),
-    ("level", pa.string()),
-    ("block_type", pa.string()),
-    ("start", pa.int64()),
-    ("end", pa.int64()),
-    ("confidence", pa.float32()),
-    ("text_density", pa.float32()),
-    ("link_density", pa.float32()),
-    ("is_subscript", pa.bool_()),
-    ("is_superscript", pa.bool_()),
-    ("is_dropcap", pa.bool_()),
-    # packed word font attributes (FontAttributes.java:28-59 analogue):
-    # 1=bold 2=italic 4=underlined 8=monospace — see extract/types.py
-    ("font_mask", pa.uint8()),
-])
+from ..extract.spans import SPAN_STRUCT, span_array
 
 EXTRACTED_SCHEMA = pa.schema([
     ("url", pa.string()),
@@ -91,65 +78,21 @@ class HtmlExtractor:
         cfg = self.cfg
         n = batch.num_rows
         urls = batch["url"]
-        html_col = batch["html"]
         lang_col = batch["lang"] if "lang" in batch.column_names else None
         text_col = batch["text"] if "text" in batch.column_names else None
         ts_col = batch["warc_ts"]
 
-        texts: list[str] = []
-        confs: list[float] = []
-        nblocks: list[int] = []
-        kinds: list[str] = []
-        charsets: list[str] = []
-        pbytes: list[int] = []
-        errors: list[str | None] = []
-        # spans collected whole per doc (one C-level extend each); the flat
-        # field columns are built afterwards with one comprehension per
-        # field — measurably faster than 12 per-span .append calls in the
-        # hottest loop
-        offsets = [0]
-        all_spans: list = []
-
         # bulk-convert once (chunk-wise C loop) — per-element .as_py() costs
         # a Python call per cell
-        payloads = html_col.to_pylist()
+        payloads = batch["html"].to_pylist()
         langs = lang_col.to_pylist() if lang_col is not None else [None] * n
         ctexts = text_col.to_pylist() if text_col is not None else [None] * n
-        for i in range(n):
-            payload = payloads[i]
-            lang = langs[i]
-            ctext = ctexts[i]
-            res = extract_one(payload, lang, ctext, cfg)
-            texts.append(res.text)
-            confs.append(res.doc_confidence)
-            nblocks.append(res.n_blocks)
-            kinds.append(res.payload_kind)
-            charsets.append(res.charset)
-            pbytes.append(len(payload) if payload is not None else 0)
-            errors.append(res.error)
-            all_spans.extend(res.spans)
-            offsets.append(len(all_spans))
+        results = [extract_one(payload, lang, ctext, cfg)
+                   for payload, lang, ctext in zip(payloads, langs, ctexts)]
 
-        struct_arr = pa.StructArray.from_arrays(
-            [
-                pa.array([s.node_id for s in all_spans], pa.int32()),
-                pa.array([s.parent_id for s in all_spans], pa.int32()),
-                pa.array([s.level for s in all_spans], pa.string()),
-                pa.array([s.block_type for s in all_spans], pa.string()),
-                pa.array([s.start for s in all_spans], pa.int64()),
-                pa.array([s.end for s in all_spans], pa.int64()),
-                pa.array([s.confidence for s in all_spans], pa.float32()),
-                pa.array([s.text_density for s in all_spans], pa.float32()),
-                pa.array([s.link_density for s in all_spans], pa.float32()),
-                pa.array([s.is_subscript for s in all_spans], pa.bool_()),
-                pa.array([s.is_superscript for s in all_spans], pa.bool_()),
-                pa.array([s.is_dropcap for s in all_spans], pa.bool_()),
-                pa.array([s.font_mask for s in all_spans], pa.uint8()),
-            ],
-            fields=list(SPAN_STRUCT),
-        )
-        spans_arr = pa.ListArray.from_arrays(pa.array(offsets, pa.int32()),
-                                             struct_arr)
+        def col(name, typ):
+            return pa.array([getattr(r, name) for r in results], typ)
+
         return pa.Table.from_arrays(
             [
                 urls.combine_chunks() if isinstance(urls, pa.ChunkedArray) else urls,
@@ -157,14 +100,16 @@ class HtmlExtractor:
                 (lang_col.combine_chunks() if isinstance(lang_col, pa.ChunkedArray)
                  else lang_col) if lang_col is not None
                 else pa.nulls(n, pa.string()),
-                pa.array(texts, pa.string()),
-                pa.array(confs, pa.float32()),
-                pa.array(nblocks, pa.int32()),
-                pa.array(kinds, pa.string()),
-                pa.array(charsets, pa.string()),
-                pa.array(pbytes, pa.int64()),
-                pa.array(errors, pa.string()),
-                spans_arr,
+                col("text", pa.string()),
+                col("doc_confidence", pa.float32()),
+                col("n_blocks", pa.int32()),
+                col("payload_kind", pa.string()),
+                col("charset", pa.string()),
+                pa.array([len(p) if p is not None else 0 for p in payloads],
+                         pa.int64()),
+                col("error", pa.string()),
+                # word rows derived once for the whole batch, in columns
+                span_array(results),
             ],
             schema=EXTRACTED_SCHEMA,
         )
@@ -209,8 +154,8 @@ def boxes_batch(batch: pa.Table, *, level: str = "line") -> pa.Table:
 
     Vectorized like :func:`explode_spans_batch`: flatten + parent lookup
     via global index arithmetic (a span's position inside its document's
-    list equals its ``node_id`` — ids are allocated in append order by
-    ``assemble``), so the parent row of flat position j is
+    list equals its ``node_id`` — ids are dense in depth-first order,
+    ``extract.spans``), so the parent row of flat position j is
     ``list_offset(doc) + parent_id``.  Only the final text slice runs per
     row (a C-level str slice), never a per-span dict conversion."""
     import numpy as np

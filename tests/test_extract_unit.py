@@ -2,6 +2,7 @@
 strategy (MediatorTests/LayoutIteratorTests) in tabular form."""
 
 import os
+import zlib
 
 import pyarrow.parquet as pq
 import pytest
@@ -177,6 +178,40 @@ def test_pdf_escapes():
     pdf = make_pdf([["parens () and backslash \\ here"]])
     r = extract_one(pdf)
     assert "parens () and backslash \\ here" == r.text
+
+
+def _flate_pdf(*streams: bytes) -> bytes:
+    objs = [b"<< /Filter /FlateDecode /Length %d >>\nstream\n" % len(z)
+            + z + b"\nendstream" for z in map(zlib.compress, streams)]
+    return b"%PDF-1.4\n" + b"\n".join(objs) + b"\n%%EOF"
+
+
+def test_pdf_flate_bomb_is_error_row(monkeypatch):
+    """FlateDecode output is capped per document (all streams together):
+    past MAX_FLATE_BYTES the document is a ``limit:flate_bytes`` error
+    row, and decompression stops at the cap."""
+    from org_dharts_dia_tesseract_ray.extract import pdf_extract
+    cap = pdf_extract.MAX_FLATE_BYTES
+    bomb = _flate_pdf(b"BT (x) Tj ET\n" + b" " * (2 * cap))
+    assert len(bomb) < cap // 100
+    r = extract_one(bomb)
+    assert r.payload_kind == PayloadKind.ERROR
+    assert r.error.startswith("limit:flate_bytes")
+    assert r.text == "" and r.spans == []
+
+    page = b"BT (small page) Tj ET\n"
+    assert extract_one(_flate_pdf(page, page)).text == "small page\nsmall page"
+    # the budget is per document: two streams that fit alone, not together
+    monkeypatch.setattr(pdf_extract, "MAX_FLATE_BYTES", 2 * len(page))
+    assert extract_one(_flate_pdf(page, page)).text == "small page\nsmall page"
+    monkeypatch.setattr(pdf_extract, "MAX_FLATE_BYTES", 2 * len(page) - 1)
+    r = extract_one(_flate_pdf(page, page))
+    assert r.error.startswith("limit:flate_bytes")
+    # a truncated stream is skipped, as before the cap
+    cut = _flate_pdf(page).replace(zlib.compress(page),
+                                   zlib.compress(page)[:-6])
+    r = extract_one(cut)
+    assert r.error == "pdf-parse: no extractable text objects"
 
 
 # --- modes / config (PageSegMode + variables analogues) --------------------

@@ -733,10 +733,11 @@ def test_hll_accuracy():
     from org_dharts_dia_tesseract_ray.functions.fingerprint import (
         rolling_hash64)
     from org_dharts_dia_tesseract_ray.functions.sketch import (
-        M, _mix64, hll_add, hll_estimate)
+        M, hll_add, hll_estimate)
+    from org_dharts_dia_tesseract_ray.util import mix64
     for n in (50, 5000, 100_000):
         reg = np.zeros(M, dtype=np.int8)
-        hs = _mix64(np.array([rolling_hash64(f"tok{i}") for i in range(n)],
+        hs = mix64(np.array([rolling_hash64(f"tok{i}") for i in range(n)],
                              dtype=np.uint64))
         hll_add(reg, hs)
         est = hll_estimate(reg)
@@ -745,7 +746,7 @@ def test_hll_accuracy():
     a = np.zeros(M, dtype=np.int8)
     b = np.zeros(M, dtype=np.int8)
     w = np.zeros(M, dtype=np.int8)
-    hs = _mix64(np.array([rolling_hash64(f"x{i}") for i in range(2000)],
+    hs = mix64(np.array([rolling_hash64(f"x{i}") for i in range(2000)],
                          dtype=np.uint64))
     hll_add(a, hs[:1000]); hll_add(b, hs[1000:]); hll_add(w, hs)
     assert np.array_equal(np.maximum(a, b), w)
