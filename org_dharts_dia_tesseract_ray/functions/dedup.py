@@ -233,17 +233,6 @@ def default_join_partitions() -> int:
     return max(2, min(32, cluster_cpus() // 2))
 
 
-def _distinct_pairs(pairs_ds, keep: dict | None = None):
-    """Vectorized pair dedup: groupby + aggregate (NEVER per-group Python —
-    candidate sets have millions of mostly-unique pairs at scale)."""
-    from ray.data.aggregate import Count, Min
-    aggs = [Count(alias_name="__n")]
-    for col, alias in (keep or {}).items():
-        aggs.append(Min(col, alias_name=alias))
-    out = pairs_ds.groupby(["id_a", "id_b"]).aggregate(*aggs)
-    return out.drop_columns(["__n"])
-
-
 def _self_join_pairs(band_ds, keys: list[str], carry: list[str],
                      id_col: str, num_partitions: int,
                      types: dict[str, pa.DataType]):
@@ -609,8 +598,9 @@ def simhash_pairs(ds, *, max_hamming: int = 3, k: int = 4,
 
     Pigeonhole (Manku/Jain/Sarma): distance ≤ 3 over 4 bands ⇒ at least one
     16-bit band identical.  ONE banding explode (4 rows/doc) → ONE self-join
-    on (band, band_val) → vectorized Hamming filter → pair dedup.  Two
-    shuffles total; every step Arrow-vectorized.
+    on (band, band_val) → vectorized Hamming filter → pair dedup
+    (``util.grouped_arrow_aggregate``).  Two shuffles total; every step
+    Arrow-vectorized.
     """
     if max_hamming > 3:
         # the fixed 4×16-bit banding only guarantees a shared band for
@@ -657,7 +647,12 @@ def simhash_pairs(ds, *, max_hamming: int = 3, k: int = 4,
 
     pairs = cand.map_batches(ham_filter, batch_format="pyarrow",
                              zero_copy_batch=True)
-    return _distinct_pairs(pairs, keep={"hamming": "hamming"})
+    # a pair sharing several bands arrives once per band: keep one
+    pairs_schema = pa.schema([("id_a", id_type), ("id_b", id_type),
+                              ("hamming", pa.int64())])
+    return grouped_arrow_aggregate(
+        (pairs, pairs_schema), ["id_a", "id_b"],
+        [("hamming", "min", "hamming")], num_partitions=num_partitions)
 
 
 # ---------------------------------------------------------------------------

@@ -9,38 +9,23 @@ answer; the streaming-friendly equivalent used here is rolling-hash
 w-grams — the same trade the decontamination stage makes
 (``functions/decontam.py``).
 
-Two strategies share the gram kernels (identical output, tested
-byte-for-byte):
+One plan per operator, nothing collected on the driver:
 
-``strategy="broadcast"`` — the decontam/bloom broadcast pattern, NOT a
-text shuffle:
-
-1. **Gram pass** — one ``map_batches`` sweep tokenizes
+1. **Mark** (``_marked_ds``, one exchange) — a per-batch sweep tokenizes
    (``vocab.ws_tokens``) and rolls a 64-bit polynomial over the token
-   hashes, emitting per-batch-unique ``(gram, min_doc, max_doc)``
-   partials; the only shuffle is this slim 24-byte-per-unique-gram
-   reduce (hash-partitioned, Arrow ``group_by`` per partition — the raw
-   text never leaves its block).
-2. **Dup set** — grams with ``min_doc != max_doc`` (seen in ≥2 docs) are
-   collected to the driver and broadcast once via ``ray.put`` (bounded by
-   the corpus's actual duplication volume, exactly like the decontam
-   blocklist and the bloom bitmap).
-3. **Mark pass** — a second sweep over the text recomputes gram hashes
-   per batch and probes the sorted dup set (``np.searchsorted``); marked
-   windows merge into maximal spans / a token coverage mask entirely
-   inside the batch (a document's grams never leave its row), so span
-   assembly needs NO shuffle at all.
+   hashes into a slim ``(gram, doc, pos)`` window table (24 B/token; the
+   text never shuffles).  One gram-hash exchange makes every occurrence
+   of a gram co-resident, so the cross-doc test and the semi-join are
+   one vectorized pass per partition.
+2. **Assemble** (one exchange) — ``duplicated_spans`` hash-partitions the
+   surviving ``(doc, pos)`` rows on the id and merges them into maximal
+   islands; ``dedup_substrings`` meets them with the text in one id-keyed
+   tagged-union co-shuffle whose per-partition merge strips the covered
+   tokens directly.
 
-``strategy="join"`` — the 100-TB path: NOTHING is driver-collected.  One
-gram-hash exchange of the slim ``(gram, doc, pos)`` window table makes
-every occurrence of a gram co-resident, so the cross-doc test and the
-"semi-join" are one vectorized pass per partition; the surviving marked
-positions then meet the text in one id-keyed tagged-union co-shuffle
-whose per-partition merge strips spans directly.  TWO exchanges total,
-both slim (24 B/token and text-once respectively); the scale bound is
-shuffle volume, never driver memory.  Measured at sf0.1: 3.7 s vs the
-broadcast path's 2.4 s — the price of full distribution is one extra
-barrier, not an algorithmic blowup.
+Two exchanges per operator; the scale bound is shuffle volume, never
+driver memory.  Both operators require a unique ``id_col`` (the corpus
+primary key): rows meet by id after the shuffle.
 
 Determinism: token hashes are ``util._string_hash64`` (the shared
 byte-polynomial + splitmix64), gram hashes a fixed-multiplier polynomial
@@ -52,8 +37,7 @@ deliberately NOT duplicates (cross-doc only, ``count(DISTINCT doc_id) >
 1``); the removal variant cuts EVERY covered occurrence — keep-one
 canonicalization is a policy layer on top, as in the reference tooling.
 
-Reference analogue: the dedup family rows of SURVEY.md §2.5 (set ops);
-the two-pass broadcast shape mirrors ``functions/decontam.py:67``.
+Reference analogue: the dedup family rows of SURVEY.md §2.5 (set ops).
 """
 
 from __future__ import annotations
@@ -105,96 +89,13 @@ def _gram_hashes(h: np.ndarray, parents: np.ndarray, pos: np.ndarray,
     return acc[same_doc], parents[:width][same_doc], pos[:width][same_doc]
 
 
-def _dup_grams_dataset(ds, *, w: int, text_col: str, id_col: str,
-                       num_partitions=None):
-    """Distributed Dataset of gram hashes (one int64 column ``gram``) seen
-    in more than one document — steps 1-2 of the module docstring with the
-    dup set kept in the object store (consumed by either the broadcast
-    collect below or the ``strategy="join"`` semi-join).
-
-    The reduce is the repo's hash-partition → per-partition Arrow
-    ``group_by`` pattern rather than Ray's native Min/Max aggregate: the
-    native sort-based aggregate measured 57 core-seconds on ~750k slim
-    partial rows (sf0.1) where one int32-keyed exchange + a vectorized
-    Arrow reduce does the same work in a fraction — the exchange volume
-    is identical (the per-batch combiner has already collapsed each batch
-    to one row per gram)."""
-    from ..util import hash_exchange, mapped_side
-
-    def partial(b: pa.Table) -> pa.Table:
-        g, rows, _ = _gram_hashes(*_token_runs(b, text_col), w)
-        ids = np.asarray(b[id_col], dtype=np.int64)[rows]
-        t = pa.table({"gram": pa.array(g.view(np.int64), pa.int64()),
-                      "doc": pa.array(ids, pa.int64())})
-        # per-batch combiner: one row per (gram) before the shuffle
-        c = t.group_by("gram").aggregate([("doc", "min"), ("doc", "max")])
-        return pa.table({"gram": c["gram"],
-                         "lo": c["doc_min"].cast(pa.int64()),
-                         "hi": c["doc_max"].cast(pa.int64())})
-
-    def reduce_part(g: pa.Table) -> pa.Table:
-        # cross-doc filter stays distributed: the unique-gram reduce is
-        # corpus-sized, the survivors duplication-sized
-        c = g.group_by("gram").aggregate([("lo", "min"), ("hi", "max")])
-        m = pc.not_equal(c["lo_min"], c["hi_max"])
-        return pa.table({"gram": c["gram"].filter(m)})
-
-    return hash_exchange([mapped_side(ds, partial)], "gram", reduce_part,
-                         pa.schema([("gram", pa.int64())]),
-                         num_partitions=num_partitions)
-
-
-def _dup_gram_set(ds, *, w: int, text_col: str, id_col: str) -> np.ndarray:
-    """Sorted uint64 array of gram hashes seen in more than one document
-    (the ``strategy="broadcast"`` collect)."""
-    chunks = []
-    # driver reduction is bounded by the corpus's duplication volume: only
-    # cross-doc grams stream here; the full gram aggregate stays distributed
-    for bt in (_dup_grams_dataset(ds, w=w, text_col=text_col, id_col=id_col)
-               .iter_batches(batch_format="pyarrow")):
-        chunks.append(np.asarray(bt["gram"], dtype=np.int64))
-    dup = (np.sort(np.concatenate(chunks).view(np.uint64))
-           if chunks else np.empty(0, np.uint64))
-    return dup
-
-
-def _marked_positions(b: pa.Table, dup_sorted: np.ndarray, *, w: int,
-                      text_col: str):
-    """(parent_row, pos) of every window whose gram is in the dup set,
-    plus the per-row token counts (for coverage clamping)."""
-    h, parents, pos = _token_runs(b, text_col)
-    g, rows, p = _gram_hashes(h, parents, pos, w)
-    if len(g) and len(dup_sorted):
-        idx = np.minimum(np.searchsorted(dup_sorted, g),
-                         len(dup_sorted) - 1)
-        hit = dup_sorted[idx] == g
-        rows, p = rows[hit], p[hit]
-    else:
-        rows, p = rows[:0], p[:0]
-    n_toks = np.zeros(b.num_rows, np.int64)
-    if len(parents):
-        uniq, cnt = np.unique(parents, return_counts=True)
-        n_toks[uniq] = cnt
-    return rows, p, n_toks
-
-
 def _islands_table(doc_ids: np.ndarray, p: np.ndarray, *, w: int,
-                   id_col: str, out_schema: pa.Schema,
-                   break_ids: np.ndarray | None = None) -> pa.Table:
+                   id_col: str, out_schema: pa.Schema) -> pa.Table:
     """Merge marked window positions (sorted by (doc, pos)) into maximal
-    spans — break on doc change or coverage gap (> w).
-
-    ``break_ids`` (default ``doc_ids``) is the run key the island breaks
-    on: the broadcast path passes BATCH ROW indices so two rows that
-    happen to share a doc id (un-deduped recrawl captures) keep their own
-    correct spans instead of merging into one garbage island (r5 review
-    finding).  The join path has no row identity after its shuffle, so it
-    breaks on doc id and documents a unique-id contract."""
+    spans — break on doc change or coverage gap (> w)."""
     if len(doc_ids) == 0:
         return out_schema.empty_table()
-    if break_ids is None:
-        break_ids = doc_ids
-    brk = np.r_[True, (np.diff(break_ids) != 0) | (np.diff(p) > w)]
+    brk = np.r_[True, (np.diff(doc_ids) != 0) | (np.diff(p) > w)]
     grp = np.cumsum(brk) - 1
     n_grp = int(grp[-1]) + 1
     starts = p[brk]
@@ -211,16 +112,13 @@ def _islands_table(doc_ids: np.ndarray, p: np.ndarray, *, w: int,
 
 def _marked_ds(ds, *, w: int, text_col: str, id_col: str,
                num_partitions: int):
-    """Distributed ``(gram, id, pos)`` of every duplicated window — the
-    ``strategy="join"`` replacement for the broadcast probe.  The dup-gram
-    table never leaves the object store: the per-window table (24 B/token,
-    the text never shuffles) is hash-partitioned on the gram key, and —
-    because every occurrence of a gram lands in the same partition — the
-    cross-doc test (min doc ≠ max doc per gram) AND the semi-join collapse
-    into one vectorized pass per partition.  ONE exchange where the
-    original aggregate-then-semi-join design used two with the same
-    dominant shuffle volume (the windows themselves); the scale bound is
-    shuffle volume, not driver memory (closes VERDICT r4 item 1)."""
+    """Distributed ``(gram, id, pos)`` of every duplicated window.  The
+    per-window table (24 B/token, the text never shuffles) is
+    hash-partitioned on the gram key, and — because every occurrence of a
+    gram lands in the same partition — the cross-doc test (min doc ≠ max
+    doc per gram) AND the semi-join collapse into one vectorized pass per
+    partition: ONE exchange, and the dup-gram table never leaves the
+    object store."""
     from ..util import hash_exchange, mapped_side
 
     def windows(b: pa.Table) -> pa.Table:
@@ -246,83 +144,56 @@ def _marked_ds(ds, *, w: int, text_col: str, id_col: str,
                          num_partitions=num_partitions)
 
 
+def _check_strategy(strategy: str) -> None:
+    # "join" is the only plan; the keyword stays because the benchmark's
+    # curate_exchange workload passes strategy="join" — drop it with the
+    # next benchmark change
+    if strategy != "join":
+        raise ValueError(f"unknown strategy: {strategy!r} (only 'join')")
+
+
 def duplicated_spans(ds, *, w: int = 8, text_col: str = "text",
-                     id_col: str = "doc_id", strategy: str = "broadcast",
+                     id_col: str = "doc_id", strategy: str = "join",
                      num_partitions=None):
     """(doc_id, tok_start, tok_end, n_dup_grams) — maximal duplicated
     spans; [tok_start, tok_end) are 0-based token offsets.
 
-    ``strategy="broadcast"`` collects the dup-gram set to the driver and
-    ``ray.put``s it (fast; bounded by corpus duplication volume).
-    ``strategy="join"`` keeps the dup-gram table distributed and marks
-    windows via a hash-partitioned semi-join — the 100-TB path (no driver
-    materialization at all).  Both produce identical spans (tested).
+    Two exchanges: the gram semi-join of :func:`_marked_ds`, then one
+    id-keyed exchange that merges each document's marked windows into
+    islands.  Typed (4 columns) on empty input.
 
-    CONTRACT: ``id_col`` must be unique (the corpus primary key).  The
-    join strategy loses row identity across its shuffle, so duplicate-id
-    rows would merge into one island stream; run url/doc dedup first (the
-    pipeline's own ordering).  The broadcast path keeps per-ROW breaks
-    and degrades gracefully, but the two strategies only coincide under
-    unique ids."""
-    import ray
-    import ray.data
+    CONTRACT: ``id_col`` must be unique (the corpus primary key).  Rows
+    meet by id after the shuffle, so duplicate-id rows would merge into
+    one island stream; run url/doc dedup first (the pipeline's own
+    ordering).  Unlike :func:`dedup_substrings` this is not checked: the
+    text rows never reach the island merge."""
+    from ..util import default_num_partitions, hash_exchange
 
-    from ..util import default_num_partitions
-
-    if strategy not in ("broadcast", "join"):
-        raise ValueError(f"unknown strategy: {strategy!r}")
+    _check_strategy(strategy)
     out_schema = pa.schema([(id_col, pa.int64()),
                             ("tok_start", pa.int64()),
                             ("tok_end", pa.int64()),
                             ("n_dup_grams", pa.int64())])
-    if ds.count() == 0:
-        # empty input: the mark UDF would never run (Ray skips empty
-        # blocks), leaving the INPUT schema on the output — pin it
-        # statically instead (pack_sequences precedent).  count() on the
-        # usual column-pruned parquet read is metadata-cheap; callers
-        # with expensive lineage should materialize first.
-        return ray.data.from_arrow(out_schema.empty_table())
+    if num_partitions is None:
+        num_partitions = default_num_partitions()
+    marked = _marked_ds(ds, w=w, text_col=text_col, id_col=id_col,
+                        num_partitions=num_partitions)
 
-    if strategy == "join":
-        from ..util import hash_exchange
+    def per_part(g: pa.Table) -> pa.Table:
+        # ONE vectorized pass per hash partition (Python calls = P, not
+        # docs): lexsort to (doc, pos) then the multi-doc island merge
+        ids = np.asarray(g[id_col], dtype=np.int64)
+        p = np.asarray(g["pos"], dtype=np.int64)
+        order = np.lexsort((p, ids))
+        return _islands_table(ids[order], p[order], w=w, id_col=id_col,
+                              out_schema=out_schema)
 
-        if num_partitions is None:
-            num_partitions = default_num_partitions()
-        marked = _marked_ds(ds, w=w, text_col=text_col, id_col=id_col,
-                            num_partitions=num_partitions)
-
-        def per_part(g: pa.Table) -> pa.Table:
-            # ONE vectorized pass per hash partition (Python calls = P,
-            # not docs): lexsort to (doc, pos) then the multi-doc island
-            # merge — the same discipline as every keyed operator here
-            ids = np.asarray(g[id_col], dtype=np.int64)
-            p = np.asarray(g["pos"], dtype=np.int64)
-            order = np.lexsort((p, ids))
-            return _islands_table(ids[order], p[order], w=w, id_col=id_col,
-                                  out_schema=out_schema)
-
-        # the pinned side drops the dead gram column BEFORE the id
-        # exchange — this shuffle's volume is the scale bound, and gram is
-        # a third of the marked row
-        return hash_exchange(
-            [(marked, pa.schema([(id_col, pa.int64()),
-                                 ("pos", pa.int64())]))],
-            id_col, per_part, out_schema, num_partitions=num_partitions)
-
-    dup_ref = ray.put(_dup_gram_set(ds, w=w, text_col=text_col,
-                                    id_col=id_col))
-
-    def mark(b: pa.Table) -> pa.Table:
-        dup = ray.get(dup_ref)
-        rows, p, _ = _marked_positions(b, dup, w=w, text_col=text_col)
-        ids = np.asarray(b[id_col], dtype=np.int64)[rows]
-        # break on the batch ROW, not the doc id: duplicate-id rows keep
-        # their own spans (r5 review finding)
-        return _islands_table(ids, p, w=w, id_col=id_col,
-                              out_schema=out_schema, break_ids=rows)
-
-    return ds.map_batches(mark, batch_format="pyarrow",
-                          zero_copy_batch=True)
+    # the pinned side drops the dead gram column BEFORE the id exchange —
+    # this shuffle's volume is the scale bound, and gram is a third of the
+    # marked row
+    return hash_exchange(
+        [(marked, pa.schema([(id_col, pa.int64()), ("pos", pa.int64())]))],
+        id_col, per_part, out_schema, num_partitions=num_partitions)
 
 
 def _strip_covered(b: pa.Table, rows: np.ndarray, p: np.ndarray, *,
@@ -362,78 +233,49 @@ def _strip_covered(b: pa.Table, rows: np.ndarray, p: np.ndarray, *,
 
 
 def dedup_substrings(ds, *, w: int = 8, text_col: str = "text",
-                     id_col: str = "doc_id", strategy: str = "broadcast",
+                     id_col: str = "doc_id", strategy: str = "join",
                      num_partitions=None):
     """(doc_id, clean_text, n_removed) — text with every token covered by a
     cross-doc duplicated ``w``-gram removed (single-space rejoin; the
     corpus text is single-spaced already, see the roundtrip oracle).
 
-    ``strategy="broadcast"`` probes a driver-collected dup-gram set;
-    ``strategy="join"`` stays fully distributed: marked positions come
-    from the gram semi-join and meet the text in ONE id-keyed tagged-union
-    co-shuffle whose per-partition merge strips spans directly (3
-    exchanges total: gram partials, gram semi-join, id co-shuffle).
-    Identical output (tested byte-for-byte)."""
-    import ray
-    import ray.data
+    Two exchanges: the gram semi-join of :func:`_marked_ds`, then ONE
+    id-keyed tagged-union co-shuffle that carries both the text and the
+    marked positions, whose per-partition merge strips spans directly.
+    Typed (3 columns) on empty input.  Raises ``ValueError`` when
+    ``id_col`` is not unique."""
+    from ..util import default_num_partitions, ds_arrow_schema, \
+        keyed_coshuffle
 
-    from ..util import default_num_partitions, ds_arrow_schema
+    _check_strategy(strategy)
+    if num_partitions is None:
+        num_partitions = default_num_partitions()
+    id_type = ds_arrow_schema(ds).field(id_col).type
+    marked = _marked_ds(ds, w=w, text_col=text_col, id_col=id_col,
+                        num_partitions=num_partitions)
 
-    if strategy not in ("broadcast", "join"):
-        raise ValueError(f"unknown strategy: {strategy!r}")
-    if ds.count() == 0:
-        # empty input: pin the 3-column output schema statically (same
-        # hazard + precedent as duplicated_spans above)
-        id_type = ds_arrow_schema(ds).field(id_col).type
-        return ray.data.from_arrow(pa.table({
-            id_col: pa.array([], id_type),
-            "clean_text": pa.array([], pa.string()),
-            "n_removed": pa.array([], pa.int64()),
-        }))
-
-    if strategy == "join":
-        from ..util import keyed_coshuffle
-
-        if num_partitions is None:
-            num_partitions = default_num_partitions()
-        id_type = ds_arrow_schema(ds).field(id_col).type
-        marked = _marked_ds(ds, w=w, text_col=text_col, id_col=id_col,
-                            num_partitions=num_partitions)
-
-        # ONE id-keyed exchange carries both the text and the marked
-        # positions (util.keyed_coshuffle) — fusing the former
-        # pack-groupby + text-join pair of barriers into a single one
-        # (measured: each extra sort barrier costs ~2 s of fixed wall at
-        # any data size on this box)
-        def merge(tb: pa.Table, mb: pa.Table) -> pa.Table:
-            ids_t = np.asarray(tb[id_col], dtype=np.int64)
-            order_t = np.argsort(ids_t, kind="stable")
-            tb = tb.take(pa.array(order_t))
-            ids_m = np.asarray(mb[id_col], dtype=np.int64)
-            p = np.asarray(mb["pos"], dtype=np.int64)
-            om = np.lexsort((p, ids_m))
-            ids_m, p = ids_m[om], p[om]
-            rows = np.searchsorted(ids_t[order_t], ids_m)
-            return _strip_covered(tb, rows, p, w=w, text_col=text_col,
-                                  id_col=id_col)
-
-        return keyed_coshuffle(
-            ds.select_columns([id_col, text_col]), marked, id_col,
-            pa.schema([(id_col, id_type), (text_col, pa.string())]),
-            pa.schema([(id_col, id_type), ("pos", pa.int64())]),
-            merge, num_partitions=num_partitions)
-
-    dup_ref = ray.put(_dup_gram_set(ds, w=w, text_col=text_col,
-                                    id_col=id_col))
-
-    def clean(b: pa.Table) -> pa.Table:
-        dup = ray.get(dup_ref)
-        rows, p, _ = _marked_positions(b, dup, w=w, text_col=text_col)
-        return _strip_covered(b, rows, p, w=w, text_col=text_col,
+    def merge(tb: pa.Table, mb: pa.Table) -> pa.Table:
+        # every text row of an id meets here, so this is where a repeated
+        # id is caught (its marked positions would land on one row)
+        ids_t = np.asarray(tb[id_col], dtype=np.int64)
+        order_t = np.argsort(ids_t, kind="stable")
+        ids_sorted = ids_t[order_t]
+        if np.any(ids_sorted[1:] == ids_sorted[:-1]):
+            raise ValueError(f"dedup_substrings: {id_col} is not unique")
+        tb = tb.take(pa.array(order_t))
+        ids_m = np.asarray(mb[id_col], dtype=np.int64)
+        p = np.asarray(mb["pos"], dtype=np.int64)
+        om = np.lexsort((p, ids_m))
+        ids_m, p = ids_m[om], p[om]
+        rows = np.searchsorted(ids_sorted, ids_m)
+        return _strip_covered(tb, rows, p, w=w, text_col=text_col,
                               id_col=id_col)
 
-    return ds.map_batches(clean, batch_format="pyarrow",
-                          zero_copy_batch=True)
+    return keyed_coshuffle(
+        ds.select_columns([id_col, text_col]), marked, id_col,
+        pa.schema([(id_col, id_type), (text_col, pa.string())]),
+        pa.schema([(id_col, id_type), ("pos", pa.int64())]),
+        merge, num_partitions=num_partitions)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from counts to bytes).
 
 from __future__ import annotations
 
+from functools import partial
+
 import pyarrow as pa
 import ray.data
 
@@ -28,10 +30,13 @@ _TEMPLATE = ("<html><head><title>d{id}</title>"
              "</body></html>")
 
 
-def wrap_documents_batch(batch: pa.Table) -> pa.Table:
+def wrap_documents_batch(batch: pa.Table,
+                         template: str = _TEMPLATE) -> pa.Table:
+    """``documents`` rows → ``pages`` rows, the html formatted from
+    ``template`` (the base page or one of the ``_TEMPLATE_*`` variants)."""
     ids = batch["doc_id"].to_pylist()
     texts = batch["text"].to_pylist()
-    html = [_TEMPLATE.format(id=i, text=t).encode("utf-8")
+    html = [template.format(id=i, text=t).encode("utf-8")
             for i, t in zip(ids, texts)]
     ts = pa.array([_TS_BASE_US + i * 1_000_000 for i in ids],
                   pa.timestamp("us", tz="UTC"))
@@ -98,15 +103,6 @@ _TEMPLATE_SUBSUP = _TEMPLATE.replace(
     "<p>{text} H<sub>2</sub>O and mc<sup>2</sup></p>")
 
 
-def wrap_documents_batch_subsup(batch: pa.Table) -> pa.Table:
-    t = wrap_documents_batch(batch)
-    ids = batch["doc_id"].to_pylist()
-    texts = batch["text"].to_pylist()
-    html = [_TEMPLATE_SUBSUP.format(id=i, text=x).encode("utf-8")
-            for i, x in zip(ids, texts)]
-    return t.set_column(2, "html", pa.array(html, pa.binary()))
-
-
 #: template variant whose body paragraph carries the four DOM-expressible
 #: font attributes plus one nested bold-italic word — the fixture for the
 #: FontAttributes analogue (I11; FontAttributes.java:28-59,
@@ -117,15 +113,6 @@ _TEMPLATE_FONTATTRS = _TEMPLATE.replace(
     "<code>mono1</code> <b><i>bi1</i></b></p>")
 
 
-def wrap_documents_batch_fontattrs(batch: pa.Table) -> pa.Table:
-    t = wrap_documents_batch(batch)
-    ids = batch["doc_id"].to_pylist()
-    texts = batch["text"].to_pylist()
-    html = [_TEMPLATE_FONTATTRS.format(id=i, text=x).encode("utf-8")
-            for i, x in zip(ids, texts)]
-    return t.set_column(2, "html", pa.array(html, pa.binary()))
-
-
 #: template variant whose head carries the crawl-index metadata fields —
 #: the fixture for the extract_meta head projection (title is in the base
 #: template already)
@@ -134,15 +121,6 @@ _TEMPLATE_META = _TEMPLATE.replace(
     '<meta charset="utf-8">'
     '<meta name="description" content="Document {id} of the corpus">'
     '<link rel="canonical" href="https://corpus.test/doc/{id}">')
-
-
-def wrap_documents_batch_meta(batch: pa.Table) -> pa.Table:
-    t = wrap_documents_batch(batch)
-    ids = batch["doc_id"].to_pylist()
-    texts = batch["text"].to_pylist()
-    html = [_TEMPLATE_META.format(id=i, text=x).encode("utf-8")
-            for i, x in zip(ids, texts)]
-    return t.set_column(2, "html", pa.array(html, pa.binary()))
 
 
 def wrap_documents_batch_dup(batch: pa.Table) -> pa.Table:
@@ -168,19 +146,24 @@ def wrap_documents_batch_dup(batch: pa.Table) -> pa.Table:
     return pa.concat_tables([v1, v2])
 
 
-def pages_from_documents(sf_dir: str, *, mixed_pdf: bool = False,
-                         subsup: bool = False, dup_captures: bool = False,
-                         font_attrs: bool = False, meta: bool = False):
-    """documents.parquet → pages Dataset (lazy, streaming)."""
+#: page-wrap variants of :func:`pages_from_documents`, by name
+_WRAPS = {
+    "plain": wrap_documents_batch,
+    "mixed_pdf": wrap_documents_batch_mixed,
+    "subsup": partial(wrap_documents_batch, template=_TEMPLATE_SUBSUP),
+    "dup_captures": wrap_documents_batch_dup,
+    "font_attrs": partial(wrap_documents_batch, template=_TEMPLATE_FONTATTRS),
+    "meta": partial(wrap_documents_batch, template=_TEMPLATE_META),
+}
+
+
+def pages_from_documents(sf_dir: str, variant: str = "plain"):
+    """documents.parquet → pages Dataset (lazy, streaming), wrapped by the
+    ``variant`` named in ``_WRAPS``."""
+    wrap = _WRAPS[variant]
     ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
                                columns=["doc_id", "text", "lang"])
-    fn = (wrap_documents_batch_mixed if mixed_pdf
-          else wrap_documents_batch_subsup if subsup
-          else wrap_documents_batch_dup if dup_captures
-          else wrap_documents_batch_fontattrs if font_attrs
-          else wrap_documents_batch_meta if meta
-          else wrap_documents_batch)
-    return ds.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+    return ds.map_batches(wrap, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def roundtrip_extract(sf_dir: str, cfg=None, **kwargs):

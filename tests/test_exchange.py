@@ -66,8 +66,12 @@ def _build(name):
         "unit_dedup": lambda: unitdedup.unit_dedup(_docs(),
                                                    num_partitions=4),
         "doc_frequency": lambda: vocab.doc_frequency(_docs()),
-        "dedup_substrings_join": lambda: substrdedup.dedup_substrings(
-            _docs(), w=4, strategy="join", num_partitions=4),
+        "dedup_substrings": lambda: substrdedup.dedup_substrings(
+            _docs(), w=4, num_partitions=4),
+        "duplicated_spans": lambda: substrdedup.duplicated_spans(
+            _docs(), w=4, num_partitions=4),
+        "simhash_pairs": lambda: dedup.simhash_pairs(_docs(),
+                                                     num_partitions=4),
         "asof_join": _asof,
     }[name]()
 
@@ -75,7 +79,8 @@ def _build(name):
 #: exchanges per operator — pinned; a migration or rewrite that adds a
 #: barrier fails here
 EXCHANGES = {"dedup_pages": 1, "exact_dedup": 1, "unit_dedup": 2,
-             "doc_frequency": 1, "dedup_substrings_join": 2, "asof_join": 1}
+             "doc_frequency": 1, "dedup_substrings": 2,
+             "duplicated_spans": 2, "simhash_pairs": 2, "asof_join": 1}
 
 
 @pytest.mark.parametrize("name", sorted(EXCHANGES))
@@ -173,6 +178,25 @@ def test_exact_dedup_typed(ray_session):
     assert _typed(exact_dedup(_ds(docs)), out) == []
     same = _ds(docs, doc_id=[3, 1, 2], text=["t", "t", "t"])
     assert [r["doc_id"] for r in _typed(exact_dedup(same), out)] == [1]
+
+
+def test_substr_dedup_typed(ray_session):
+    from org_dharts_dia_tesseract_ray.functions.substrdedup import (
+        dedup_substrings, duplicated_spans)
+    docs = pa.schema([("doc_id", I64), ("text", pa.string())])
+    spans = pa.schema([("doc_id", I64), ("tok_start", I64),
+                       ("tok_end", I64), ("n_dup_grams", I64)])
+    clean = pa.schema([("doc_id", I64), ("clean_text", pa.string()),
+                       ("n_removed", I64)])
+    kw = dict(w=4, num_partitions=8)
+    assert _typed(duplicated_spans(_ds(docs), **kw), spans) == []
+    assert _typed(dedup_substrings(_ds(docs), **kw), clean) == []
+    shared = _ds(docs, doc_id=[1, 2], text=["a b c d x", "y a b c d"])
+    assert sorted(tuple(r.values()) for r in _typed(
+        duplicated_spans(shared, **kw), spans)) == [(1, 0, 4, 1),
+                                                     (2, 1, 5, 1)]
+    assert sorted((r["doc_id"], r["clean_text"]) for r in _typed(
+        dedup_substrings(shared, **kw), clean)) == [(1, "x"), (2, "y")]
 
 
 def test_running_total_per_key_typed(ray_session):

@@ -2419,16 +2419,15 @@ def test_substr_dedup_crafted(ray_session):
             "short text",
         ], pa.string()),
     })
-    for parts, strategy in ((1, "broadcast"), (5, "broadcast"),
-                            (1, "join"), (5, "join")):
+    for parts in (1, 5):
         ds = ray.data.from_arrow(docs).repartition(parts)
-        spans = (duplicated_spans(ds, w=8, strategy=strategy).to_pandas()
+        spans = (duplicated_spans(ds, w=8).to_pandas()
                  .sort_values(["doc_id", "tok_start"])
                  .reset_index(drop=True))
         # doc 0: shared occupies tokens 4..14 (3 windows merge to one span)
         # doc 2: tokens 0..10; doc 1/3: nothing
         assert spans.values.tolist() == [[0, 4, 14, 3], [2, 0, 10, 3]]
-        clean = (dedup_substrings(ds, w=8, strategy=strategy).to_pandas()
+        clean = (dedup_substrings(ds, w=8).to_pandas()
                  .sort_values("doc_id").reset_index(drop=True))
         assert clean.loc[0, "clean_text"] == uniq[0]
         assert clean.loc[0, "n_removed"] == 10
@@ -2447,13 +2446,11 @@ def test_substr_dedup_no_duplicates_and_nulls(ray_session):
         "text": pa.array(["just some plain words here", None], pa.string()),
     })
     ds = ray.data.from_arrow(docs)
-    for strategy in ("broadcast", "join"):
-        assert duplicated_spans(ds, w=8, strategy=strategy).count() == 0
-        clean = (dedup_substrings(ds, w=8, strategy=strategy).to_pandas()
-                 .sort_values("doc_id").reset_index(drop=True))
-        assert clean["clean_text"].tolist() == ["just some plain words here",
-                                                ""]
-        assert clean["n_removed"].tolist() == [0, 0]
+    assert duplicated_spans(ds, w=8).count() == 0
+    clean = (dedup_substrings(ds, w=8).to_pandas()
+             .sort_values("doc_id").reset_index(drop=True))
+    assert clean["clean_text"].tolist() == ["just some plain words here", ""]
+    assert clean["n_removed"].tolist() == [0, 0]
 
 
 def test_quality_buckets_terciles(ray_session):
@@ -2636,6 +2633,40 @@ def test_sample_n_per_key_deterministic(ray_session):
           sample_n_per_key(grown, n=5).take_all()}
     old_picks = {x for x in s3 if x[1] < n_docs}
     assert old_picks <= set(s1)
+
+
+def test_sample_n_per_key_and_ntile_match_sql(ray_session):
+    """The two shipped oracles no harness query runs, against their
+    operators over the sf0.01 documents: sample_n_per_key_sql and
+    ntile_sql give the same rows (values and ranks/tiles)."""
+    import os
+
+    import ray.data
+
+    from org_dharts_dia_tesseract_ray.functions.sampling import (
+        sample_n_per_key, sample_n_per_key_sql)
+    from org_dharts_dia_tesseract_ray.functions.stats import (
+        ntile_per_key, ntile_sql)
+    docs = pq.read_table(os.path.join(os.path.dirname(SF_DIR), "sf0.01",
+                                      "documents.parquet"))
+    con = duckdb.connect()
+    con.register("documents", docs)
+
+    def rows(records):
+        return sorted(tuple(r.values()) for r in records)
+
+    ds = ray.data.from_arrow(docs).repartition(4)
+    got = rows(sample_n_per_key(ds, n=5, num_partitions=4).take_all())
+    assert len(got) == 25
+    assert got == rows(
+        con.execute(sample_n_per_key_sql(n=5)).arrow().to_pylist())
+
+    got = rows(ntile_per_key(
+        ds.select_columns(["doc_id", "lang", "n_chars"]), key="lang",
+        value_col="n_chars", id_col="doc_id", num_partitions=4).take_all())
+    assert len(got) == docs.num_rows
+    assert got == rows(con.execute(ntile_sql()).arrow().to_pylist())
+    con.close()
 
 
 def test_pivot_counts_matches_manual(ray_session):
@@ -2895,7 +2926,7 @@ def test_extract_links_matches_sql_oracle_and_meta(ray_session):
     from org_dharts_dia_tesseract_ray.functions.links import (
         extract_links_batch, extract_meta_batch)
     from org_dharts_dia_tesseract_ray.pipelines.docs_pipeline import (
-        links_sql, meta_sql, wrap_documents_batch, wrap_documents_batch_meta)
+        _TEMPLATE_META, links_sql, meta_sql, wrap_documents_batch)
 
     docs = pa.table({
         "doc_id": pa.array(range(40), pa.int64()),
@@ -2911,7 +2942,7 @@ def test_extract_links_matches_sql_oracle_and_meta(ray_session):
     assert got.equals(want.cast(got.schema))
 
     gotm = extract_meta_batch(
-        wrap_documents_batch_meta(docs)).sort_by("url")
+        wrap_documents_batch(docs, _TEMPLATE_META)).sort_by("url")
     wantm = con.execute(meta_sql() + " ORDER BY url").arrow()
     con.close()
     assert gotm.equals(wantm.cast(gotm.schema))
@@ -3012,31 +3043,27 @@ def test_bm25_topk_matches_reference(ray_session):
     assert tie_ids == sorted(tie_ids)
 
 
-def test_duplicated_spans_broadcast_per_row_breaks(ray_session):
-    """r5 review: two rows sharing a doc_id in one batch must keep their
-    OWN spans through the broadcast path (per-row island breaks), not
-    merge into one garbage island."""
+def test_substr_dedup_repeated_id_raises(ray_session):
+    """Both substring operators meet rows by id after their shuffles, so
+    ``id_col`` must be unique: dedup_substrings, where every text row of
+    an id meets, raises instead of cutting one row's spans out of the
+    other; only the "join" plan is accepted."""
     import ray.data
     from org_dharts_dia_tesseract_ray.functions.substrdedup import (
-        duplicated_spans)
+        dedup_substrings, duplicated_spans)
 
     dup8 = "a b c d e f g h"              # the shared 8-gram
     t = pa.table({
         "doc_id": pa.array([1, 1, 2], pa.int64()),
-        "text": pa.array([
-            f"x0 x1 x2 x3 x4 x5 {dup8}",   # row A: span at tokens 6..14
-            f"{dup8} y0 y1",               # row B (same id): span at 0..8
-            f"{dup8} z0",                  # the cross-doc partner
-        ], pa.string())})
-    # repartition(1): the three rows MUST share one mark() batch — the
-    # pre-fix bug only merged islands within a batch, so a multi-block
-    # layout would make this test vacuously green
-    got = sorted(
-        (r["doc_id"], r["tok_start"], r["tok_end"], r["n_dup_grams"])
-        for r in duplicated_spans(
-            ray.data.from_arrow(t).repartition(1), w=8,
-            strategy="broadcast").take_all())
-    assert got == [(1, 0, 8, 1), (1, 6, 14, 1), (2, 0, 8, 1)]
+        "text": pa.array([f"x0 x1 x2 x3 x4 x5 {dup8}", f"{dup8} y0 y1",
+                          f"{dup8} z0"], pa.string())})
+    for parts in (1, 3):
+        ds = ray.data.from_arrow(t).repartition(parts)
+        with pytest.raises(Exception, match="doc_id is not unique"):
+            dedup_substrings(ds, w=8, num_partitions=4).materialize()
+    for op in (dedup_substrings, duplicated_spans):
+        with pytest.raises(ValueError, match="unknown strategy"):
+            op(ray.data.from_arrow(t), strategy="broadcast")
 
 
 def test_keyed_coshuffle_guards_and_merge(ray_session):
