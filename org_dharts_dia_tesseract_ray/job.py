@@ -14,7 +14,8 @@ output::
   :func:`..state.checkpoint.run_checkpointed` — a re-submitted job after a
   failure skips completed partitions by manifest fingerprint;
 * prints a one-line JSON summary (partitions done/skipped, rows, bytes,
-  error rows, wall time) for the job log.
+  error rows, docs by ``payload_kind``, error rows by reason, wall time)
+  for the job log.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import json
 import os
 import sys
 import time
+from collections import Counter
 
 
 def main(argv=None) -> int:
@@ -69,12 +71,19 @@ def main(argv=None) -> int:
         files_per_shard=args.files_per_shard,
         write_spans=not args.no_spans)
     metrics = summary["metrics"]
+    # per-partition counters; manifests written before they existed lack them
+    docs_by_kind, errors_by_reason = Counter(), Counter()
+    for m in metrics.values():
+        docs_by_kind.update(m.get("docs_by_kind", {}))
+        errors_by_reason.update(m.get("errors_by_reason", {}))
     print(json.dumps({
         "partitions_done": len(summary["done"]),
         "partitions_skipped": len(summary["skipped"]),
         "rows": sum(m.get("rows", 0) for m in metrics.values()),
         "spans_rows": sum(m.get("spans_rows", 0) for m in metrics.values()),
         "error_rows": sum(m.get("error_rows", 0) for m in metrics.values()),
+        "docs_by_kind": dict(docs_by_kind),
+        "errors_by_reason": dict(errors_by_reason),
         "output_bytes": sum(m.get("output_bytes", 0)
                             for m in metrics.values()),
         "wall_seconds": round(time.time() - t0, 3),

@@ -5,7 +5,10 @@ the north rule demands a killed job resume WITHOUT recomputation.  Unit of
 idempotency = one input shard (a group of input parquet files) → one output
 partition directory ``out/part=NNNNN/`` plus an atomically-written
 ``_MANIFEST.json`` recording lineage (input files + fingerprint) and metrics
-(rows, bytes, errors, wall seconds).
+(rows, span rows, bytes, error rows, docs by ``payload_kind``, error rows by
+reason, wall seconds).  Both tables of a partition and those metrics come
+from one pass: a ``Datasink`` at the end of the shard's extract execution
+writes each block and its spans view and counts them as it goes.
 
 Rules (SURVEY.md §7 hard-part #6):
 * the manifest is written LAST, via tmp + ``os.replace`` (atomic on POSIX);
@@ -21,9 +24,16 @@ import json
 import os
 import shutil
 import time
+from collections import Counter
+
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
+from ray.data.block import BlockAccessor
+from ray.data.datasource import Datasink
 
 from ..config import ExtractConfig
 from ..pipelines import extract_pipeline
+from ..stages.extractor import explode_spans_batch
 
 
 def _stable_cfg_repr(cfg: "ExtractConfig") -> str:
@@ -89,6 +99,65 @@ def read_manifest(part_dir: str) -> dict | None:
         return None
 
 
+def _zero_counts() -> dict:
+    return {"rows": 0, "error_rows": 0, "spans_rows": 0, "output_bytes": 0,
+            "docs_by_kind": Counter(), "errors_by_reason": Counter()}
+
+
+def _value_counts(arr) -> Counter:
+    vc = pc.value_counts(arr)
+    return Counter(dict(zip(vc.field("values").to_pylist(),
+                            vc.field("counts").to_pylist())))
+
+
+class _PartitionSink(Datasink):
+    """Both tables of one partition, written by the extract execution
+    itself.  Each non-empty block goes unchanged (nested ``spans`` column
+    kept) to ``part_dir``; with a ``spans_dir`` its exploded spans view goes
+    there under the same file name.  Each write task returns its counts and
+    :attr:`counts` sums them, so the manifest reads nothing back."""
+
+    def __init__(self, part_dir: str, spans_dir: str | None):
+        self.part_dir = part_dir
+        self.spans_dir = spans_dir
+        self.counts: dict | None = None
+
+    def write(self, blocks, ctx) -> dict:
+        c = _zero_counts()
+        for i, block in enumerate(blocks):
+            t = BlockAccessor.for_block(block).to_arrow()
+            if t.num_rows == 0:
+                continue
+            # task then block index: the files read back in execution order
+            name = f"{ctx.task_idx:06d}_{i:06d}.parquet"
+            outputs = [(self.part_dir, t)]
+            if self.spans_dir is not None:
+                spans = explode_spans_batch(t)
+                c["spans_rows"] += spans.num_rows
+                if spans.num_rows:
+                    outputs.append((self.spans_dir, spans))
+            for d, table in outputs:
+                path = os.path.join(d, name)
+                pq.write_table(table, path)
+                c["output_bytes"] += os.path.getsize(path)
+            errors = pc.drop_null(t["error"])
+            c["rows"] += t.num_rows
+            c["error_rows"] += len(errors)
+            c["docs_by_kind"] += _value_counts(t["payload_kind"])
+            # the reason is the error text up to its first ':'
+            # ("limit", "pdf-parse", "ValueError", ...)
+            c["errors_by_reason"] += _value_counts(pc.list_element(
+                pc.split_pattern(errors, ":", max_splits=1), 0))
+        return c
+
+    def on_write_complete(self, write_result) -> None:
+        total = _zero_counts()
+        for c in write_result.write_returns:
+            for k, v in c.items():
+                total[k] += v
+        self.counts = total
+
+
 def plan_shards(input_files: list[str], files_per_shard: int = 1) -> list[list[str]]:
     files = sorted(input_files)
     return [files[i:i + files_per_shard]
@@ -107,16 +176,21 @@ def run_checkpointed(
     """Process shards, skipping completed partitions.  Returns a summary
     ``{"done": [...], "skipped": [...], "metrics": {...per part...}}``.
 
-    Each shard runs as its own streaming pipeline (read → extract →
-    write_parquet into its partition dir); a failed/killed run leaves no
-    manifest, so the next invocation redoes exactly that shard.
+    Each shard runs as ONE streaming execution (read → extract → a
+    two-table sink); a failed/killed run leaves no manifest, so the next
+    invocation redoes exactly that shard.
 
     ``write_spans=True`` also materializes the flagship two-table contract
-    per partition: the flat spans view is exploded from the just-written
-    combined parquet (a cheap columnar re-read, NOT a re-extraction) into
-    the sibling ``spans/part=NNNNN/`` directory.  The manifest is written
-    after BOTH tables, so a kill between the writes leaves no manifest and
-    the shard — both views — is redone wholesale on resume.
+    per partition: the sink writes each extracted block and, under the same
+    file name in the sibling ``spans/part=NNNNN/`` directory, its exploded
+    spans view — no re-read of the written parquet, no second execution.
+    The manifest's counts come from the same sink.  It is written after
+    BOTH tables, so a kill between the writes leaves no manifest and the
+    shard — both views — is redone wholesale on resume.
+
+    A shard whose input has no rows writes no data file, but still gets its
+    (empty) ``spans/part=NNNNN/`` directory and a manifest with ``rows`` 0,
+    so a rerun skips it.
     """
     cfg = cfg or ExtractConfig()
     # write_spans is part of the partition's identity: a partition
@@ -145,62 +219,22 @@ def run_checkpointed(
         os.makedirs(part_dir, exist_ok=True)
 
         t0 = time.monotonic()
-        combined = extract_pipeline.extract_pages(
-            extract_pipeline.read_pages(shard), cfg, **extract_kwargs)
-        combined.write_parquet(part_dir)
-
-        spans_rows = 0
         if write_spans:
-            import ray.data
-
-            from ..stages.extractor import apply_explode_spans
+            # exists even when the shard yields no rows (no file is written)
             os.makedirs(spans_dir, exist_ok=True)
-            # sorted: listdir order is filesystem-dependent, and the spans
-            # view's row order (hence written bytes) must not vary between
-            # runs/machines — part of the byte-identity/resume guarantee
-            part_files = [os.path.join(part_dir, fn)
-                          for fn in sorted(os.listdir(part_dir))
-                          if fn.endswith(".parquet")]
-            if part_files:
-                # a 0-row shard writes no data files; read_parquet([])
-                # raises, which would wedge the shard forever (crash
-                # before manifest → wiped and re-crashed on every resume)
-                written = ray.data.read_parquet(part_files,
-                                                columns=["url", "spans"])
-                apply_explode_spans(written).write_parquet(spans_dir)
+        sink = _PartitionSink(part_dir, spans_dir if write_spans else None)
+        extract_pipeline.extract_pages(
+            extract_pipeline.read_pages(shard), cfg,
+            **extract_kwargs).write_datasink(sink)
         wall = time.monotonic() - t0
-
-        # lineage + metrics from the freshly written partition (cheap read of
-        # parquet metadata + small aggregate)
-        import pyarrow.parquet as pq
-        rows = 0
-        out_bytes = 0
-        n_errors = 0
-        for fn in os.listdir(part_dir):
-            if fn.endswith(".parquet"):
-                fpath = os.path.join(part_dir, fn)
-                pf = pq.ParquetFile(fpath)
-                rows += pf.metadata.num_rows
-                out_bytes += os.path.getsize(fpath)
-                t = pq.read_table(fpath, columns=["error"])
-                n_errors += t.num_rows - t.column("error").null_count
-        if write_spans:
-            for fn in os.listdir(spans_dir):
-                if fn.endswith(".parquet"):
-                    fpath = os.path.join(spans_dir, fn)
-                    spans_rows += pq.ParquetFile(fpath).metadata.num_rows
-                    out_bytes += os.path.getsize(fpath)
 
         manifest = {
             "partition": part,
             "fingerprint": fp,
             "inputs": [os.path.basename(f) for f in sorted(shard)],
-            "rows": rows,
-            "spans_rows": spans_rows,
-            "output_bytes": out_bytes,
-            "error_rows": n_errors,
             "wall_seconds": round(wall, 3),
             "config": cfg_repr,
+            **sink.counts,
         }
         write_manifest(part_dir, manifest)
         done.append(part)

@@ -9,6 +9,7 @@ import pyarrow.parquet as pq
 import pytest
 
 from org_dharts_dia_tesseract_ray.sources.gen_corpus import write_corpus
+from org_dharts_dia_tesseract_ray.stages.extractor import explode_spans_batch
 from org_dharts_dia_tesseract_ray.state.checkpoint import (
     read_manifest, run_checkpointed,
 )
@@ -54,16 +55,57 @@ def test_killed_partition_recomputed(corpus3, tmp_path):
 
 
 def test_manifest_metrics_accurate(corpus3, tmp_path):
+    """The manifest's counts, taken by the sink while it writes, agree with
+    a re-read of the written files; the per-kind and per-reason counters
+    partition the rows they count."""
     out = str(tmp_path / "out")
     r = run_checkpointed(_inputs(corpus3), out)
     total = sum(m["rows"] for m in r["metrics"].values())
     assert total == 90
+    assert sum(m["error_rows"] for m in r["metrics"].values()) > 0
     for part, m in r["metrics"].items():
-        t = pq.read_table(os.path.join(out, part))
+        part_dir = os.path.join(out, part)
+        spans_dir = os.path.join(out, "spans", part)
+        t = pq.read_table(part_dir)
+        files = [os.path.join(d, f) for d in (part_dir, spans_dir)
+                 for f in os.listdir(d) if f.endswith(".parquet")]
         assert t.num_rows == m["rows"]
+        assert m["error_rows"] == t.num_rows - t["error"].null_count
+        assert m["spans_rows"] == pq.read_table(spans_dir).num_rows
+        assert m["output_bytes"] == sum(os.path.getsize(f) for f in files)
+        assert sum(m["docs_by_kind"].values()) == m["rows"]
+        assert sum(m["errors_by_reason"].values()) == m["error_rows"]
         assert m["wall_seconds"] >= 0
         # lineage names the exact inputs
         assert all(i.startswith("pages-") for i in m["inputs"])
+
+
+def test_spans_view_is_explode_of_extracted(corpus3, tmp_path):
+    """The spans view written beside each partition is the explode of its
+    extracted view, row for row."""
+    out = str(tmp_path / "out")
+    r = run_checkpointed(_inputs(corpus3), out)
+    for part in r["metrics"]:
+        spans = pq.read_table(os.path.join(out, "spans", part))
+        assert spans.equals(explode_spans_batch(
+            pq.read_table(os.path.join(out, part), columns=["url", "spans"])))
+
+
+def test_zero_row_shard_completes_and_is_skipped(corpus3, tmp_path):
+    """A shard with no rows writes no data file, but still gets its spans
+    directory and a manifest, so a rerun skips it."""
+    src = str(tmp_path / "pages-empty.parquet")
+    pq.write_table(pq.read_table(_inputs(corpus3)[0]).slice(0, 0), src)
+    out = str(tmp_path / "out")
+    r1 = run_checkpointed([src], out)
+    assert r1["done"] == ["part=00000"]
+    m = r1["metrics"]["part=00000"]
+    assert m["rows"] == 0 and m["spans_rows"] == 0
+    assert not [f for f in os.listdir(os.path.join(out, "part=00000"))
+                if f.endswith(".parquet")]
+    assert os.path.isdir(os.path.join(out, "spans", "part=00000"))
+    r2 = run_checkpointed([src], out)
+    assert r2["skipped"] == ["part=00000"] and not r2["done"]
 
 
 def test_stale_fingerprint_triggers_redo(corpus3, tmp_path):
