@@ -6,7 +6,8 @@ Prints ONE JSON line::
      "sf": ..., "num_cpus": N, ...}
 
 Env: ``GRAFT_SF_DIR`` (default /root/testdata/sf0.1), ``RAY_GRAFT_CPUS``
-(default 32), ``GRAFT_BENCH_REPLICATE`` (corpus amplification for the
+(default: the CPUs this process may run on, ``os.sched_getaffinity``),
+``GRAFT_BENCH_REPLICATE`` (corpus amplification for the
 headline extraction run; default 60 → ~300k docs at sf0.1, large enough
 that the streaming executor's ~1.5 s fixed startup cost stops dominating
 and the number reported is steady-state throughput).
@@ -36,7 +37,10 @@ os.environ["PYTHONPATH"] = (REPO if not _prev_pp
                             else REPO + os.pathsep + _prev_pp)
 
 SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
-NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
+#: CPUs this process may run on (the cgroup/affinity grant, not the host's
+#: core count); the default Ray size and the capacity probe's width
+GRANTED_CPUS = len(os.sched_getaffinity(0))
+NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", GRANTED_CPUS))
 REPLICATE = int(os.environ.get("GRAFT_BENCH_REPLICATE", "60"))
 # N vs 4N parallelism levels for --scaling (the north-rule two-cluster-size
 # criterion, sandbox protocol).  4→16 leaves headroom on the 32-core box for
@@ -58,11 +62,12 @@ def _spin(n: int) -> float:
     return time.time() - t0
 
 
-def probe_effective_cores(n_procs: int = 32, n: int = 3_000_000) -> float:
+def probe_effective_cores(n_procs: int = GRANTED_CPUS,
+                          n: int = 3_000_000) -> float:
     """This sandbox's vCPUs are oversubscribed at the hypervisor: parallel
     capacity swings between ~15 and ~4 effective cores hour to hour while
-    single-core speed stays constant.  A 32-process pure-CPU spin measures
-    the capacity actually available to THIS run, so every benchmark JSON
+    single-core speed stays constant.  A pure-CPU spin with one process
+    per granted CPU measures the capacity actually available to THIS run, so every benchmark JSON
     carries the context needed to interpret its throughput.
 
     ``n`` trades probe cost for smoothing: the default ~1 s probe opens a
@@ -427,9 +432,9 @@ def main() -> None:
         }))
         return
 
-    # children skip the probe: the parent already measured, and 32-process
-    # spin rounds inside each child would perturb the very runs they
-    # annotate on this oversubscribed host
+    # children skip the probe: the parent already measured, and one spin
+    # process per granted CPU inside each child would perturb the very
+    # runs they annotate on this oversubscribed host
     eff_cores = None if child else probe_effective_cores()
     ray = _init_ray()
     try:

@@ -174,6 +174,10 @@ class _SegmentingParser(HTMLParser):
         # implied-close rules instead of poisoning a counter forever
         self._skip_stack: list[str] = []
         self._boiler = 0
+        # boilerplate containers opened by a role attribute on an ordinary
+        # tag: [tag, open same-name descendants]; each ends at its own
+        # matching end tag
+        self._role_ctrs: list[list] = []
         self._link = 0
         self._pre = 0
         self._selector = 0 if selector_tag else 1   # >0 ⇒ inside ROI
@@ -402,9 +406,18 @@ class _SegmentingParser(HTMLParser):
             for k, v in attrs:
                 if k == "role" and v:
                     role = v.lower()
-            if tag in _BOILER_TAGS or role in _BOILER_ROLES:
+            opens_ctr = tag in _BOILER_TAGS or role in _BOILER_ROLES
+            if self._role_ctrs and not opens_ctr:
+                # a same-name descendant: its end tag is not the
+                # container's
+                i = self._role_ctr(tag)
+                if i >= 0:
+                    self._role_ctrs[i][1] += 1
+            if opens_ctr:
                 self._boiler += 1
                 self._group_stack.append(("boilerctr", tag))
+                if tag not in _BOILER_TAGS:
+                    self._role_ctrs.append([tag, 0])
             elif tag in ("table", "thead", "tbody", "tfoot", "tr"):
                 if tag == "table":
                     self._group_stack.append(("table", self._fresh_id()))
@@ -466,7 +479,13 @@ class _SegmentingParser(HTMLParser):
                 self._sup = 0
                 self._font = {4: 0, 8: 0, 16: 0, 32: 0}
                 self._upd_mask()
-            if tag in _BOILER_TAGS and self._boiler:
+            ctr = self._role_ctr(tag) if self._role_ctrs else -1
+            if ctr >= 0 and self._role_ctrs[ctr][1]:
+                self._role_ctrs[ctr][1] -= 1   # a same-name descendant
+                ctr = -1
+            if ctr >= 0:
+                del self._role_ctrs[ctr]
+            if (tag in _BOILER_TAGS or ctr >= 0) and self._boiler:
                 # pop matching boiler container if present
                 for i in range(len(self._group_stack) - 1, -1, -1):
                     if self._group_stack[i] == ("boilerctr", tag):
@@ -501,6 +520,13 @@ class _SegmentingParser(HTMLParser):
                 self._items.append(("tb",))
         if self.selector_tag and tag == self.selector_tag:
             self._selector = max(0, self._selector - 1)
+
+    def _role_ctr(self, tag: str) -> int:
+        """Index of the innermost open role container named ``tag``, or -1."""
+        for i in range(len(self._role_ctrs) - 1, -1, -1):
+            if self._role_ctrs[i][0] == tag:
+                return i
+        return -1
 
     def _pop_group(self, kind: str) -> None:
         for i in range(len(self._group_stack) - 1, -1, -1):

@@ -127,6 +127,41 @@ def test_nav_footer_stripped(tiny_rows):
             assert all(s.block_type != BlockType.NOISE for s in res.spans)
 
 
+def test_role_navigation_container_ends_at_its_end_tag():
+    r = extract_one(b'<div role="navigation"><a href=/>Home</a></div>'
+                    b"<p>The main article text is long enough to be "
+                    b"content here.</p>", "en")
+    assert r.text == ("The main article text is long enough to be "
+                      "content here.")
+
+
+def test_role_banner_container_counts_nested_same_name_tags():
+    r = extract_one(b"<div role=banner><div><div>Site name</div>"
+                    b"<div><a href=/a>A</a> <a href=/b>B</a></div></div>"
+                    b"<div>banner tail</div></div>"
+                    b"<p>What follows the banner is the article body.</p>",
+                    "en")
+    assert r.text == "What follows the banner is the article body."
+
+
+def test_role_list_container_keeps_outer_list_group():
+    from org_dharts_dia_tesseract_ray.extract.html_extract import (
+        _feed_fast, _SegmentingParser)
+    p = _SegmentingParser()
+    _feed_fast(p, "<ul><li>alpha item one</li><li><ul role=navigation>"
+                  "<li><a href=/>Home</a></li></ul></li>"
+                  "<li>beta item two</li></ul><p>after the list</p>")
+    groups = {q.lines[0]: q.group for q in p.paras}
+    assert groups["alpha item one"][0] == "list"
+    assert groups["beta item two"] == groups["alpha item one"]
+    assert groups["Home"][0] == "boiler"
+    assert groups["after the list"] == ("flow",)
+    r = extract_one(b"<ul><li>alpha item one</li><li><ul role=navigation>"
+                    b"<li><a href=/>Home</a></li></ul></li>"
+                    b"<li>beta item two</li></ul>", "en")
+    assert r.text == "alpha item one\nbeta item two"
+
+
 # --- error discipline ------------------------------------------------------
 
 def test_broken_payloads_never_raise():

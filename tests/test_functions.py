@@ -2205,6 +2205,194 @@ def test_warc_microsecond_exact_and_real_crawl_shape(ray_session, tmp_path):
     assert nullts["warc_ts"] == pd.Timestamp("1970-01-01", tz="UTC")
 
 
+def _gzip_member_spans(raw: bytes) -> list:
+    """(offset, length) of each gzip member of a member-per-record file."""
+    import zlib
+    spans, pos = [], 0
+    while pos < len(raw):
+        d = zlib.decompressobj(31)
+        d.decompress(raw[pos:])
+        n = len(raw) - pos - len(d.unused_data)
+        spans.append((pos, n))
+        pos += n
+    return spans
+
+
+def _warc_rows(t: pa.Table) -> list:
+    """The non-error rows of a read as tuples, in row order."""
+    import pyarrow.compute as pc
+    if "error" in t.column_names:
+        t = t.filter(pc.is_null(t["error"]))
+    return list(zip(*[t[c].to_pylist() for c in
+                      ["url", "warc_ts", "html", "text", "lang"]]))
+
+
+def _warc_errors(t: pa.Table) -> list:
+    return [e for e in t["error"].to_pylist() if e is not None]
+
+
+def _damaged_gzip_warc(tmp_path, damage):
+    """A 12-record ``.warc.gz`` (one member per record) with ``damage(raw,
+    members) -> (raw, k)`` applied to member ``k``; returns the path and
+    the source rows of every other member."""
+    from org_dharts_dia_tesseract_ray.sources.gen_corpus import (
+        gen_rows, rows_to_table)
+    from org_dharts_dia_tesseract_ray.sources.warc import write_warc
+    pages = rows_to_table(list(gen_rows(12, seed=11)))
+    [path] = write_warc(pages, str(tmp_path), shards=1, gzip_records=True)
+    raw = open(path, "rb").read()
+    members = _gzip_member_spans(raw)
+    assert len(members) == pages.num_rows
+    raw, k = damage(raw, members)
+    open(path, "wb").write(raw)
+    rows = _warc_rows(pages)
+    return path, rows[:k] + rows[k + 1:]
+
+
+def _read_all(paths, **kwargs):
+    import ray
+
+    from org_dharts_dia_tesseract_ray.sources.warc import read_warc
+    return pa.concat_tables(
+        ray.get(read_warc(paths, **kwargs).to_arrow_refs()))
+
+
+def test_warc_corrupt_gzip_member_is_one_error_row(ray_session, tmp_path):
+    def zero_middle_member(raw, members):
+        k = len(members) // 2
+        at, n = members[k]
+        cut = at + n // 2 - 32           # inside the member's deflate data
+        return raw[:cut] + bytes(64) + raw[cut + 64:], k
+    path, want = _damaged_gzip_warc(tmp_path, zero_middle_member)
+    t = _read_all([path], include_errors=True)
+    [error] = _warc_errors(t)
+    assert error.startswith("warc:gzip_member")
+    assert _warc_rows(t) == want
+
+
+def test_warc_truncated_last_gzip_member_is_one_error_row(ray_session,
+                                                          tmp_path):
+    def cut_last_member(raw, members):
+        at, n = members[-1]
+        return raw[:at + n // 2], len(members) - 1
+    path, want = _damaged_gzip_warc(tmp_path, cut_last_member)
+    t = _read_all([path], include_errors=True)
+    [error] = _warc_errors(t)
+    assert error.startswith("warc:gzip_member")
+    assert _warc_rows(t) == want
+
+
+def test_warc_gzip_detected_by_magic_not_name(ray_session, tmp_path):
+    import shutil
+    from org_dharts_dia_tesseract_ray.sources.gen_corpus import (
+        gen_rows, rows_to_table)
+    from org_dharts_dia_tesseract_ray.sources.warc import write_warc
+    pages = rows_to_table(list(gen_rows(12, seed=11)))
+    [gz] = write_warc(pages, str(tmp_path), shards=1, gzip_records=True)
+    plain = str(tmp_path / "crawl-renamed.warc")
+    shutil.copy(gz, plain)
+    want = _read_all([gz])
+    assert want.num_rows == pages.num_rows
+    assert _read_all([plain]).equals(want)
+
+
+def _read_stream(path, include_errors=True) -> list:
+    """The datasource's tables for one file, read in-process (no Ray)."""
+    import types
+
+    from org_dharts_dia_tesseract_ray.sources.warc import WarcDatasource
+    stub = types.SimpleNamespace(_include_errors=include_errors)
+    with open(path, "rb", buffering=0) as f:
+        return list(WarcDatasource._read_stream(stub, f, path))
+
+
+@pytest.mark.parametrize("gzip_records", [False, True])
+def test_warc_record_over_budget_is_limit_row(monkeypatch, tmp_path,
+                                              gzip_records):
+    from org_dharts_dia_tesseract_ray.sources import warc
+    pages = pa.table({
+        "url": ["https://a.example/small", "https://b.example/big",
+                "https://c.example/next"],
+        "warc_ts": pa.array([0, 1, 2], pa.timestamp("us", tz="UTC")),
+        "html": [b"<p>a</p>", b"<p>" + b"b" * 5000 + b"</p>", b"<p>c</p>"],
+        "text": ["a", None, "c"],
+        "lang": ["en", "de", None],
+    })
+    [path] = warc.write_warc(pages, str(tmp_path), shards=1,
+                             gzip_records=gzip_records)
+    monkeypatch.setattr(warc, "MAX_WARC_RECORD_BYTES", 1000)
+    monkeypatch.setattr(warc, "READ_CHUNK", 512)   # the payload spans reads
+    t = pa.concat_tables(_read_stream(path))
+    [error] = _warc_errors(t)
+    assert error.startswith("limit:warc_record_bytes")
+    assert t["url"].to_pylist() == pages["url"].to_pylist()
+    rows = _warc_rows(pages)
+    assert _warc_rows(t) == [rows[0], rows[2]]
+
+
+@pytest.mark.parametrize("gzip_records", [False, True])
+def test_warc_read_memory_bounded_by_morsel(monkeypatch, tmp_path,
+                                            gzip_records):
+    """~16 MiB inflated through 1 MiB morsels: the reader's Python heap
+    peaks at a few morsels, not at the file."""
+    import random
+    import tracemalloc
+
+    from org_dharts_dia_tesseract_ray.sources import warc
+    rng = random.Random(5)
+    words = [("w%d" % i).encode() for i in range(2000)]
+    n = 400
+    html = [b"<p>" + b" ".join(rng.choice(words) for _ in range(8000))
+            + b"</p>" for _ in range(n)]
+    pages = pa.table({
+        "url": [f"https://m.example/{i}" for i in range(n)],
+        "warc_ts": pa.array(list(range(n)), pa.timestamp("us", tz="UTC")),
+        "html": html, "text": [None] * n, "lang": ["en"] * n,
+    })
+    inflated = sum(map(len, html))
+    assert 15 << 20 < inflated < 18 << 20
+    [path] = warc.write_warc(pages, str(tmp_path), shards=1,
+                             gzip_records=gzip_records)
+    del html, pages
+    monkeypatch.setattr(warc, "MORSEL_RECORDS", 1 << 20)
+    monkeypatch.setattr(warc, "MORSEL_BYTES", 1 << 20)
+    tables = rows = 0
+    tracemalloc.start()
+    try:
+        for t in _read_stream(path, include_errors=False):
+            tables += 1
+            rows += t.num_rows
+            del t
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == n
+    assert tables > 8
+    assert peak < 3 << 20, peak
+
+
+def test_warc_extract_plan_is_one_fused_operator(ray_session, tmp_path):
+    """read → sniff → split → extract run as one operator, one task per
+    file, with no block splitting between them."""
+    from org_dharts_dia_tesseract_ray.pipelines.extract_pipeline import (
+        extract_pages)
+    from org_dharts_dia_tesseract_ray.sources.gen_corpus import (
+        gen_rows, rows_to_table)
+    from org_dharts_dia_tesseract_ray.sources.warc import (read_warc,
+                                                           write_warc)
+    pages = rows_to_table(list(gen_rows(30, seed=7)))
+    paths = write_warc(pages, str(tmp_path), shards=3, gzip_records=True)
+    ds = extract_pages(read_warc(paths)).materialize()
+    assert ds.count() == 30
+    stats = ds.stats()
+    ops = [line for line in stats.splitlines()
+           if line.startswith("Operator ")]
+    assert len(ops) == 1, stats
+    assert "ReadWarc" in ops[0] and "HtmlExtractor" in ops[0]
+    assert "3 tasks executed" in ops[0]
+    assert "SplitBlocks" not in stats
+
+
 # ---------------------------------------------------------------------------
 # Mergeable quantile summaries
 
