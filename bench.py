@@ -1,9 +1,12 @@
 """Benchmark harness — headline extraction pipeline + operator suite.
 
-Prints ONE JSON line::
+Prints ONE JSON line of at most ``MAX_LINE_CHARS`` characters::
 
-    {"metric": "...", "value": N, "unit": "sec", "queries": {...},
-     "sf": ..., "num_cpus": N, ...}
+    {"metric": "...", "value": N, "unit": "sec", "queries": {headline...},
+     "suite": {"n": ..., "ok": ..., "sec": ..., "slowest": {...},
+               "failed": [...]}, "detail": "bench_results/....json", ...}
+
+The per-query seconds and capacity probes go to the ``detail`` file.
 
 Env: ``GRAFT_SF_DIR`` (default /root/testdata/sf0.1), ``RAY_GRAFT_CPUS``
 (default: the CPUs this process may run on, ``os.sched_getaffinity``),
@@ -363,6 +366,42 @@ def run_query_suite(sf_dir: str, detail: dict | None = None) -> dict:
     return out
 
 
+#: the final line must parse from the last 2,000 characters of a run's
+#: output, which is all a driver keeps
+MAX_LINE_CHARS = 1500
+#: the suite's slowest queries named in the final line
+N_SLOWEST = 5
+
+
+def summary_line(record: dict, suite: dict, detail_path: str) -> str:
+    """The final JSON line: ``record`` plus a summary of the query ``suite``
+    (name → seconds, or an error dict for a failed query) and the path of
+    the file with the full detail.  Failed names beyond what fits in
+    ``MAX_LINE_CHARS`` are left to the detail file."""
+    secs = {k: v for k, v in suite.items() if isinstance(v, (int, float))}
+    failed = [k for k in suite if k not in secs]
+    slowest = sorted(secs, key=secs.get, reverse=True)[:N_SLOWEST]
+    summary = {"n": len(suite), "ok": len(secs),
+               "sec": round(sum(secs.values()), 3),
+               "slowest": {k: secs[k] for k in slowest}, "failed": failed}
+    line = json.dumps(dict(record, suite=summary, detail=detail_path))
+    while len(line) > MAX_LINE_CHARS and summary["failed"]:
+        summary["failed"] = summary["failed"][:-1]
+        line = json.dumps(dict(record, suite=summary, detail=detail_path))
+    return line
+
+
+def write_detail(detail: dict) -> str:
+    """Write a run's full detail as JSON under ``bench_results/``; returns
+    the path relative to the repo."""
+    out_dir = os.path.join(REPO, "bench_results")
+    os.makedirs(out_dir, exist_ok=True)
+    name = time.strftime("bench-%Y%m%dT%H%M%SZ.json", time.gmtime())
+    with open(os.path.join(out_dir, name), "w") as f:
+        json.dump(detail, f, indent=1)
+    return f"bench_results/{name}"
+
+
 def main() -> None:
     scaling = "--scaling" in sys.argv
     child = os.environ.get("GRAFT_BENCH_SCALING_CHILD") == "1"
@@ -456,18 +495,23 @@ def main() -> None:
             return 0.0
 
         total = sum(_secs(v) for v in queries.values())
-        print(json.dumps({
+        headlines = {k: queries.pop(k) for k in ("headline_extract",
+                                                 "realistic_extract")
+                     if k in queries}
+        record = {
             "metric": "extract_throughput_docs_per_sec",
             "value": headline["docs_per_sec"],
             "unit": "sec",
-            "queries": queries,
-            "suite_detail": suite_detail,
+            "queries": headlines,
             "total_wall_sec": round(total, 3),
             "sf": SF_DIR,
             "num_cpus": NUM_CPUS,
             "effective_cores": eff_cores,
             "replicate": REPLICATE,
-        }))
+        }
+        path = write_detail(dict(record, suite=queries,
+                                 suite_detail=suite_detail))
+        print(summary_line(record, queries, path))
     finally:
         ray.shutdown()
 

@@ -7,7 +7,7 @@ a DETERMINISTIC order (here: the caller's ``order_by``, e.g. crawl
 timestamp then url) so reruns and repartitions pick the same survivors.
 
 Shape (the repo's standard high-cardinality reduction, cf.
-``__ray_entry__._q_events_latest`` / ``stages/dedup.py``):
+``stats.topk_per_key`` / ``stages/dedup.py``):
 
 1. per-batch partial cap (vectorized sort + run-rank): global first-K per
    key is contained in the union of per-batch first-K per key, so each

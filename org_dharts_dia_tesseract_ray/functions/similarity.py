@@ -115,8 +115,8 @@ def brute_topk(ds, query_ids: np.ndarray, Q: np.ndarray, k: int = 5,
 def brute_topk_sql(num_queries: int, k: int = 5,
                    table: str = "embeddings") -> str:
     """Oracle: window top-k with the same (cos desc, id asc) tie-break;
-    queries = the first ``num_queries`` vec_ids (matching the helper in
-    __ray_entry__)."""
+    queries = the first ``num_queries`` vec_ids (matching
+    ``harness/dedup._query_matrix``)."""
     return f"""
 WITH q AS (SELECT vec_id, embedding FROM {table} WHERE vec_id < {num_queries}),
 s AS (

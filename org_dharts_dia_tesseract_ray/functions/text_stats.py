@@ -9,7 +9,7 @@ batch-vectorized statistics).
 
 Every kernel is a pure ``pyarrow.compute`` expression over zero-copy Arrow
 batches (RE2 regexes — the same engine DuckDB uses, which is what makes the
-SQL oracles in ``__ray_entry__`` bit-exact).  SQL-checked outputs are
+SQL oracles in ``harness/`` bit-exact).  SQL-checked outputs are
 integers/strings only; ratio-valued scores are continuous doubles rounded at
 4 dp (decimal-boundary collisions have measure zero there).
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 from functools import partial
 
 import pyarrow as pa
+import pyarrow.parquet as pq
 import ray.data
 
 #: fixed epoch for synthetic warc_ts (2026-01-01T00:00:00Z in µs)
@@ -157,12 +158,23 @@ _WRAPS = {
 }
 
 
+def read_testdata(sf_dir: str, table: str, columns=None):
+    """``{sf_dir}/{table}.parquet`` as a Dataset, without the file's schema
+    metadata: the test-data files carry pandas metadata, and a schema with
+    metadata cannot be hashed, so Ray's schema unification logs "Failed to
+    hash the schemas" for every exchange over the read."""
+    path = f"{sf_dir}/{table}.parquet"
+    schema = pq.read_schema(path).remove_metadata()
+    if columns is not None:
+        schema = pa.schema([schema.field(c) for c in columns])
+    return ray.data.read_parquet(path, columns=columns, schema=schema)
+
+
 def pages_from_documents(sf_dir: str, variant: str = "plain"):
     """documents.parquet → pages Dataset (lazy, streaming), wrapped by the
     ``variant`` named in ``_WRAPS``."""
     wrap = _WRAPS[variant]
-    ds = ray.data.read_parquet(f"{sf_dir}/documents.parquet",
-                               columns=["doc_id", "text", "lang"])
+    ds = read_testdata(sf_dir, "documents", ["doc_id", "text", "lang"])
     return ds.map_batches(wrap, batch_format="pyarrow", zero_copy_batch=True)
 
 

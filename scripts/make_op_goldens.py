@@ -191,7 +191,7 @@ def g_cosine_bucketed() -> pa.Table:
 
 def g_pca() -> pa.Table:
     """One-shot numpy PCA with the pinned sign convention + the query's
-    4 dp quantization (np.round, matching _q_embeddings_pca.widen)."""
+    4 dp quantization (np.round, matching harness/dedup._q_embeddings_pca)."""
     t = pq.read_table(f"{SF_DIR}/embeddings.parquet",
                       columns=["vec_id", "embedding"])
     X = np.stack([np.asarray(v, dtype=np.float64)

@@ -1880,19 +1880,19 @@ def test_text_without_tokens_matches_oracles(ray_session, tmp_path):
     assert got == sorted(con.execute(tokenize_ids_sql(2)).fetchall())
     assert got[1:4] == [(2, 0, 0, ""), (3, 0, 0, ""), (4, 0, 0, "")]
     pq.write_table(t, tmp_path / "documents.parquet")
-    for query, sql in ((entry._q_token_budget, entry._token_budget_sql()),
-                       (entry._q_pack_sequences,
-                        entry._pack_sequences_sql_q())):
-        assert rows(query(str(tmp_path)).take_all()) \
-            == sorted(con.execute(sql).fetchall())
+    table = {row.name: row for row in entry.rows()}
+    for name in ("token_budget", "pack_sequences"):
+        row = table[name]
+        assert rows(row.query(str(tmp_path)).take_all()) \
+            == sorted(con.execute(row.sql()).fetchall())
 
 
 def test_whitespace_tokenizer_lives_in_vocab_only():
     """The whitespace split and its edge trim are written once, in
-    ``functions/vocab.py``; every other module and ``__ray_entry__``
-    tokenize through ``vocab.ws_tokens``/``ws_tokens_sql``.  The only
-    other uses are linefilter's line split on newlines and
-    normalize_text's trim."""
+    ``functions/vocab.py``; every other module, ``__ray_entry__`` and the
+    ``harness`` query modules tokenize through
+    ``vocab.ws_tokens``/``ws_tokens_sql``.  The only other uses are
+    linefilter's line split on newlines and normalize_text's trim."""
     import inspect
     import pathlib
 
@@ -1903,6 +1903,9 @@ def test_whitespace_tokenizer_lives_in_vocab_only():
     pkg = repo / "org_dharts_dia_tesseract_ray"
     files = {str(f.relative_to(pkg)): f for f in pkg.rglob("*.py")}
     files["__ray_entry__.py"] = repo / "__ray_entry__.py"
+    harness = sorted((repo / "harness").glob("*.py"))
+    assert len(harness) >= 7
+    files.update((f"harness/{f.name}", f) for f in harness)
     names = ("split_pattern_regex", "regexp_split_to_array",
              "utf8_trim_whitespace", "WS_PATTERN", "trim_sql")
     found = {(rel, name): f.read_text().count(name)

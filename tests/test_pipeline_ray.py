@@ -10,9 +10,6 @@ import pytest
 
 from org_dharts_dia_tesseract_ray.pipelines import extract_pipeline as ep
 from org_dharts_dia_tesseract_ray.stages.dedup import dedup_pages
-from org_dharts_dia_tesseract_ray.stages.metrics import (
-    metrics_by_lang, metrics_global, skew_report,
-)
 
 
 @pytest.fixture(scope="module")
@@ -109,18 +106,6 @@ def test_dedup_keeps_latest(ray_session, tiny_path):
     got_ts = dict(zip(t["url"].to_pylist(), t["warc_ts"].to_pylist()))
     for url, ts in got_ts.items():
         assert ts == latest[url], url
-
-
-def test_metrics_rollups(ray_session, tiny_path):
-    combined = ep.extract_pages(ep.read_pages(tiny_path))
-    ex = ep.extracted_view(combined)
-    by_lang = metrics_by_lang(ex).to_pandas()
-    assert by_lang["n_docs"].sum() == 64
-    g = metrics_global(ex)
-    assert g["n_docs"] == 64 and g["total_bytes"] > 0
-    top = skew_report(ex, 3).to_pandas()
-    assert len(top) == 3
-    assert top["payload_bytes"].is_monotonic_decreasing
 
 
 def test_write_then_read_roundtrip(ray_session, tiny_path, tmp_path):
