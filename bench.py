@@ -2,7 +2,7 @@
 
 Prints ONE JSON line of at most ``MAX_LINE_CHARS`` characters::
 
-    {"metric": "...", "value": N, "unit": "sec", "queries": {headline...},
+    {"metric": "...", "value": N, "unit": "docs/s", "queries": {headline...},
      "suite": {"n": ..., "ok": ..., "sec": ..., "slowest": {...},
                "failed": [...]}, "detail": "bench_results/....json", ...}
 
@@ -417,7 +417,7 @@ def main() -> None:
         print(json.dumps({
             "metric": "extract_throughput_docs_per_sec",
             "value": headline["docs_per_sec"],
-            "unit": "sec",
+            "unit": "docs/s",
             "queries": {"headline_extract_big": headline},
             "sf": SF_DIR,
             "num_cpus": NUM_CPUS,
@@ -501,7 +501,7 @@ def main() -> None:
         record = {
             "metric": "extract_throughput_docs_per_sec",
             "value": headline["docs_per_sec"],
-            "unit": "sec",
+            "unit": "docs/s",
             "queries": headlines,
             "total_wall_sec": round(total, 3),
             "sf": SF_DIR,

@@ -16,15 +16,23 @@ Payload routing (the S2/S3 sniffing analogue, ImageIOHelper.java:270-327):
 * NUL bytes (binary junk)        → ``error``
 * looks like markup              → HTML branch
 * anything else (decodable text) → plain-text branch
+
+An HTML document is segmented per document, but its paragraphs are scored
+with the rest of its batch: :func:`extract_one` with ``segment_only``
+returns a :class:`Segmented` document, and :func:`finish_batch` scores
+every such document of a batch in one pass and assembles each.  Without
+``segment_only``, ``extract_one`` is that batch of one.
 """
 
 from __future__ import annotations
 
 import re
+from typing import NamedTuple
 
 from ..config import ExtractConfig, Mode
 from .charset import decode_payload
-from .html_extract import extract_html, extract_plain_text
+from .html_extract import (
+    assemble, extract_plain_text, score_documents, segment_html)
 from .pdf_extract import extract_pdf
 from .types import ExtractResult, PayloadKind
 
@@ -53,13 +61,31 @@ def sniff_kind(payload: bytes | None) -> str:
     return PayloadKind.HTML  # html-or-text, disambiguated after decode
 
 
+class Segmented(NamedTuple):
+    """An HTML document segmented into blocks, not yet scored or
+    assembled."""
+
+    blocks: list
+    lang: str | None
+    charset: str
+
+
+def _error_row(e: Exception) -> ExtractResult:
+    return ExtractResult(payload_kind=PayloadKind.ERROR,
+                         error=f"{type(e).__name__}: {e}")
+
+
 def extract_one(
     payload: bytes | None,
     lang: str | None = None,
     corpus_text: str | None = None,
     cfg: ExtractConfig = DEFAULT_CONFIG,
-) -> ExtractResult:
-    """One document in → one ExtractResult out.  Never raises."""
+    segment_only: bool = False,
+) -> ExtractResult | Segmented:
+    """One document in → one ExtractResult out.  Never raises.
+
+    With ``segment_only`` an HTML document comes back :class:`Segmented`,
+    for :func:`finish_batch`."""
     try:
         if cfg.mode == Mode.TEXT_ONLY:
             res = extract_plain_text(corpus_text or "", lang, cfg)
@@ -77,12 +103,39 @@ def extract_one(
             return extract_pdf(payload, lang, cfg)
 
         text, charset = decode_payload(payload)
-        if _MARKUP_RE.search(text[:4096]):
-            res = extract_html(text, lang, cfg)
-        else:
+        if not _MARKUP_RE.search(text[:4096]):
             res = extract_plain_text(text, lang, cfg)
-        res.charset = charset
-        return res
+            res.charset = charset
+            return res
+        doc = Segmented(segment_html(text, cfg), lang, charset)
     except Exception as e:  # the per-row firewall
-        return ExtractResult(payload_kind=PayloadKind.ERROR,
-                             error=f"{type(e).__name__}: {e}")
+        return _error_row(e)
+    return doc if segment_only else finish_batch([doc], cfg)[0]
+
+
+def finish_batch(docs: list, cfg: ExtractConfig = DEFAULT_CONFIG) -> list:
+    """``docs`` with every :class:`Segmented` document assembled into its
+    ExtractResult, the paragraphs of all of them scored in one pass.
+    Never raises: a document whose scoring or assembly fails becomes an
+    error row on its own."""
+    segs = [d for d in docs if isinstance(d, Segmented)]
+    if not segs:
+        return docs
+    try:
+        confs = iter(score_documents([(d.blocks, d.lang) for d in segs]))
+    except Exception:
+        # some document breaks the batch pass: score each on its own, so
+        # that only the documents that fail become error rows
+        confs = iter([None] * len(segs))
+    out = []
+    for d in docs:
+        if isinstance(d, Segmented):
+            d_confs = next(confs)
+            try:
+                res = assemble(d.blocks, d.lang, cfg, d_confs)
+                res.charset = d.charset
+            except Exception as e:  # the per-row firewall
+                res = _error_row(e)
+            d = res
+        out.append(d)
+    return out

@@ -23,9 +23,11 @@ becomes DOM segmentation over markup:
   single imaginary word" exactly as the reference models them
   (BasePageHandle.java:111-114).
 
-Everything is pure Python + stdlib (html.parser), with no randomness and no
-environment dependence: the correctness gate is byte-identical output per url
-across reruns, machines and parallelism levels.
+Parsing is pure Python + stdlib (html.parser); paragraph confidences are
+scored a batch of documents at a time with Arrow and numpy kernels
+(:func:`score_documents`).  Nothing depends on randomness or the
+environment: the correctness gate is byte-identical output per url across
+reruns, machines, parallelism levels and batch boundaries.
 """
 
 from __future__ import annotations
@@ -33,6 +35,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
+
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
 
 from ..config import BlockRuleContext, ExtractConfig, Mode
 from .types import BlockType, ExtractResult, Level, PayloadKind, Span
@@ -59,7 +65,29 @@ _FLUSH_TAGS = frozenset({
     "details", "summary", "nav", "header", "footer", "aside",
 })
 
-_HEADINGS = frozenset({"h1", "h2", "h3", "h4", "h5", "h6"})
+#: the merge group a paragraph opening at one of these tags takes (while
+#: the tag is open); any other tag gives the innermost container group
+_OPEN_GROUP = {**{f"h{i}": ("heading", i) for i in range(1, 7)},
+               "figcaption": ("caption",), "caption": ("caption",)}
+_FLOW = ("flow",)
+
+#: container tags that open a merge group, and its kind
+_GROUP_KINDS = {"table": "table", "ul": "list", "ol": "list", "dl": "list",
+                "blockquote": "bq", "figure": "figure"}
+
+#: HTML's implied end tags, for role containers on tags whose end tag a
+#: page may omit: opening the key tag directly inside such a container
+#: (the container is the innermost group) closes it
+_IMPLIED_END = {
+    "p": frozenset({("boilerctr", "p")}),
+    "li": frozenset({("boilerctr", "li")}),
+    "dt": frozenset({("boilerctr", "dt"), ("boilerctr", "dd")}),
+    "dd": frozenset({("boilerctr", "dt"), ("boilerctr", "dd")}),
+}
+
+#: paragraph items without text: a line break and an element boundary
+_BR = ("br",)
+_TB = ("tb",)
 
 #: sectioning roots: opening/closing one implies any still-open inline
 #: anchor (or <sub>/<sup>) is closed.  Deliberately NOT every block tag:
@@ -72,7 +100,9 @@ _ANCHOR_RESET_TAGS = frozenset({
     "footer", "aside",
 })
 
-_WS_RE = re.compile(r"\s+")   # \s matches NBSP etc. on str in Python 3
+# whitespace is Unicode whitespace (NBSP etc.) throughout: ``str.split()``
+# and ``\s`` agree on it, so ``" ".join(s.split())`` is the collapse of
+# every run to one space, ends stripped
 _NONWS_RE = re.compile(r"\S+")
 
 #: inline font-attribute tags → word-mask bits (FontAttributes.java:28-59
@@ -109,11 +139,41 @@ _STOPWORDS: dict[str, frozenset[str]] = {
     "ar": frozenset("""في من على إلى عن أن هذا هذه التي الذي كان كانت هو هي مع لا ما قد و
         أو ثم بين كل عند لم""".split()),
 }
-_DEFAULT_STOPWORDS = _STOPWORDS["en"]
+_STOP_KEYS = sorted(_STOPWORDS)
+_STOP_CODE = {k: i for i, k in enumerate(_STOP_KEYS)}
+# every table's words as one lookup set, and which table holds each word;
+# the last column (all False) is where a word outside the set (index -1)
+# looks
+_STOP_VOCAB = sorted(set().union(*_STOPWORDS.values()))
+_IN_TABLE = np.array([[w in _STOPWORDS[k] for w in _STOP_VOCAB] + [False]
+                      for k in _STOP_KEYS])
+_VOCAB_ARRAY = pa.array(_STOP_VOCAB, pa.string())
+
+#: punctuation stripped from both ends of a word before its dictionary
+#: lookup
+DICT_PUNCT = ".,;:!?\"'()[]«»"
 
 
-def stopwords_for(lang: str | None) -> frozenset[str]:
-    return _STOPWORDS.get((lang or "en")[:2].lower(), _DEFAULT_STOPWORDS)
+def stop_code(lang: str | None) -> int:
+    """Index of ``lang``'s stopword table; English for an unknown lang."""
+    return _STOP_CODE.get((lang or "en")[:2].lower(), _STOP_CODE["en"])
+
+
+def dictionary_words(lowered: pa.Array,
+                     codes: np.ndarray) -> tuple[pa.Array, np.ndarray]:
+    """The dictionary-hit test of each word, shared by the confidence
+    score and the word predicates: ``(normalized words, is a stopword of
+    its language)``.
+
+    ``lowered`` holds the words already lower-cased by Python's
+    ``str.lower``: Arrow's ``utf8_lower`` maps ``İN`` to ``in`` (a hit)
+    where Python gives ``i̇n``.  ``codes`` holds each word's
+    :func:`stop_code`.  Normalization strips :data:`DICT_PUNCT` from both
+    ends."""
+    norm = pc.utf8_trim(lowered, DICT_PUNCT)
+    word = pc.fill_null(pc.index_in(norm, value_set=_VOCAB_ARRAY),
+                        -1).to_numpy()
+    return norm, _IN_TABLE[codes, word]
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +214,25 @@ class _SegmentingParser(HTMLParser):
     across documents — the deliberate opposite of the reference's adaptive
     classifier, TessAPI.java:536, which we do NOT replicate because
     cross-document mutable state breaks determinism).
+
+    With ``drop_boiler`` the text inside a boilerplate container is dropped
+    as it arrives instead of becoming a ``("boiler", ...)`` paragraph.  The
+    caller sets it when every such paragraph would be classified NOISE and
+    dropped anyway (no block rules, not SINGLE_BLOCK): a noise paragraph
+    never breaks a merge run, so the blocks come out the same.  Only text
+    is dropped; every tag still updates the state that outlives the
+    container (link, font, sub/sup, pre, skip, groups, role containers).
     """
 
-    def __init__(self, selector_tag: str | None = None):
+    def __init__(self, selector_tag: str | None = None,
+                 drop_boiler: bool = False):
         super().__init__(convert_charrefs=True)
         self.selector_tag = selector_tag
+        self._drop_boiler = drop_boiler
         self.paras: list[_Para] = []
         # open-paragraph state
-        self._items: list[tuple] = []   # ("txt", s, in_link, mask) | ("br",)
+        self._items: list[tuple] = []   # ("txt", s, in_link, mask) | ("br",) | ("tb",)
+        self._masked = False            # some "txt" item has a nonzero mask
         self._inline_tags = 0
         self._sub = 0
         self._sup = 0
@@ -171,12 +242,14 @@ class _SegmentingParser(HTMLParser):
         self._mask = 0
         # nesting state: skip tracked as a STACK of open skip tags so that
         # malformed nesting (unclosed <option>, omitted </head>) can apply
-        # implied-close rules instead of poisoning a counter forever
+        # implied-close rules instead of poisoning a counter forever;
+        # ``_skip`` is its depth, read on every event
         self._skip_stack: list[str] = []
+        self._skip = 0
         self._boiler = 0
         # boilerplate containers opened by a role attribute on an ordinary
         # tag: [tag, open same-name descendants]; each ends at its own
-        # matching end tag
+        # matching end tag, or (p/li/dt/dd) where HTML implies that end
         self._role_ctrs: list[list] = []
         self._link = 0
         self._pre = 0
@@ -184,24 +257,17 @@ class _SegmentingParser(HTMLParser):
         # group-instance state
         self._counter = 0
         self._group_stack: list[tuple] = []  # innermost-last container groups
+        # context of the open paragraph, consulted at flush time: its merge
+        # group, whether it is boilerplate, whether it is inside the ROI
+        self._og: tuple | None = None
+        self._ob = False
+        self._os = True
 
     # -- group helpers ------------------------------------------------------
 
     def _fresh_id(self) -> int:
         self._counter += 1
         return self._counter
-
-    def _current_group(self, tag: str, closing: bool = False) -> tuple:
-        # heading/caption apply only while the tag is OPENING — after the end
-        # tag, following bare text must fall back to the container group.
-        if not closing:
-            if tag in _HEADINGS:
-                return ("heading", int(tag[1]))
-            if tag in ("figcaption", "caption"):
-                return ("caption",)
-        if self._group_stack:
-            return self._group_stack[-1]
-        return ("flow",)
 
     # -- paragraph buffer ---------------------------------------------------
 
@@ -210,127 +276,68 @@ class _SegmentingParser(HTMLParser):
         # HTML5 anchors may contain flow content (<a><div>card</div></a>),
         # so only a new <a> or a sectioning root (_ANCHOR_RESET_TAGS)
         # closes the link context.
-        if not self._items:
-            self._inline_tags = 0
-            return
-        para = _Para(group=self._open_group or ("flow",))
-        # word sub/sup tracking only when the paragraph actually contains
-        # <sub>/<sup> content — the common path stays byte-for-byte the
-        # original normalization
-        any_mask = any(it[0] == "txt" and it[3] for it in self._items)
-        lines: list[str] = []
-        masks: list[int] = []
-        cur: list[tuple] = []
-        total = 0
-        link_total = 0
-
-        def end_line():
-            nonlocal cur, total, link_total
-            raw = "".join(s for s, _m in cur)
-            if not any_mask:
-                text = _WS_RE.sub(" ", raw).strip()
-                if text:
-                    lines.append(text)
-                    total += len(text)
-            else:
-                # Run-based token masks: ``cur`` is a short list of
-                # (text, mask) RUNS — a token's mask is the OR of the runs
-                # its [start, end) overlaps, found by walking run end
-                # offsets alongside the (ordered) token matches.  O(runs +
-                # tokens), never one mask per character: with the font
-                # bits, <b>/<i>/<em> put most realistic paragraphs on this
-                # path.  (_append_text never emits empty runs, so zero-
-                # length-run masks can't leak in.)
-                ends: list[int] = []
-                rmasks: list[int] = []
-                pos = 0
-                for s, m in cur:
-                    pos += len(s)
-                    ends.append(pos)
-                    rmasks.append(m)
-                toks: list[str] = []
-                tmasks: list[int] = []
-                ri = 0
-                for mt in _NONWS_RE.finditer(raw):
-                    a = mt.start()
-                    while ends[ri] <= a:
-                        ri += 1
-                    mm = rmasks[ri]
-                    j = ri
-                    b_end = mt.end()
-                    while ends[j] < b_end:
-                        j += 1
-                        mm |= rmasks[j]
-                    toks.append(mt.group())
-                    tmasks.append(mm)
-                if toks:
-                    # " ".join(tokens) == _WS_RE.sub(" ", raw).strip() —
-                    # the byte-identity invariant of the fast path
-                    text = " ".join(toks)
-                    lines.append(text)
-                    masks.extend(tmasks)
-                    total += len(text)
-            cur = []
-
-        for item in self._items:
-            if item[0] == "tb":
-                continue
-            if item[0] == "br":
-                end_line()
-            else:
-                _, s, in_link, m = item
-                cur.append((s, m))
-                if in_link:
-                    link_total += len(_WS_RE.sub(" ", s).strip())
-        end_line()
-        if lines:
-            para.lines = lines
-            para.word_masks = masks if any_mask else None
-            # dropcap: the paragraph opens with a lone uppercase letter
-            # split out of its word by an inline ELEMENT boundary ("tb"
-            # marker) and glued (no whitespace) to the following text —
-            # the classic <span class=dropcap>O</span>nce pattern.  The
-            # marker requirement makes this independent of data-chunk
-            # granularity (a charref split emits two text nodes with no
-            # element between) and rejects <br>-separated verse lines.
-            its = self._items
-            drop = False
-            if (its and its[0][0] == "txt" and len(its[0][1]) == 1
-                    and its[0][1].isalpha() and its[0][1].isupper()):
-                j = 1
-                while j < len(its) and its[j][0] == "tb":
-                    j += 1
-                drop = (j > 1 and j < len(its) and its[j][0] == "txt"
-                        and bool(its[j][1])
-                        and not its[j][1][0].isspace())
-            para.dropcap_first = drop
-            para.chars = total
-            para.link_chars = min(link_total, total)
-            para.inline_tags = self._inline_tags
-            para.in_selector = self._open_selector
-            if self._open_boiler:
-                para.group = ("boiler",) + para.group
-            self.paras.append(para)
-        self._items = []
+        items = self._items
+        inline_tags = self._inline_tags
         self._inline_tags = 0
-
-    # rolling context consulted at flush time
-    @property
-    def _open_group(self) -> tuple | None:
-        return self.__dict__.get("_og")
-
-    @property
-    def _open_boiler(self) -> bool:
-        return bool(self.__dict__.get("_ob"))
-
-    @property
-    def _open_selector(self) -> bool:
-        return bool(self.__dict__.get("_os", True))
-
-    def _note_context(self, tag: str, closing: bool = False) -> None:
-        self.__dict__["_og"] = self._current_group(tag, closing)
-        self.__dict__["_ob"] = self._boiler > 0
-        self.__dict__["_os"] = self._selector > 0
+        if not items:
+            return
+        self._items = []
+        if self._masked:
+            # word sub/sup/font tracking only when the paragraph actually
+            # contains masked content — the common path below stays
+            # byte-for-byte the original normalization
+            self._masked = False
+            lines, masks, total, link_total = _masked_lines(items)
+        else:
+            lines = []
+            masks = None
+            total = link_total = 0
+            cur: list[str] = []
+            for it in items:
+                kind = it[0]
+                if kind == "txt":
+                    cur.append(it[1])
+                    if it[2]:
+                        link_total += len(" ".join(it[1].split()))
+                elif kind == "br":
+                    text = " ".join("".join(cur).split())
+                    if text:
+                        lines.append(text)
+                        total += len(text)
+                    cur = []
+            text = " ".join("".join(cur).split())
+            if text:
+                lines.append(text)
+                total += len(text)
+        if not lines:
+            return
+        para = _Para(group=self._og or _FLOW)
+        para.lines = lines
+        para.word_masks = masks
+        # dropcap: the paragraph opens with a lone uppercase letter split
+        # out of its word by an inline ELEMENT boundary ("tb" marker) and
+        # glued (no whitespace) to the following text — the classic
+        # <span class=dropcap>O</span>nce pattern.  The marker requirement
+        # makes this independent of data-chunk granularity (a charref split
+        # emits two text nodes with no element between) and rejects
+        # <br>-separated verse lines.
+        first = items[0]
+        if (first[0] == "txt" and len(first[1]) == 1
+                and first[1].isalpha() and first[1].isupper()):
+            j = 1
+            while j < len(items) and items[j][0] == "tb":
+                j += 1
+            para.dropcap_first = (j > 1 and j < len(items)
+                                  and items[j][0] == "txt"
+                                  and bool(items[j][1])
+                                  and not items[j][1][0].isspace())
+        para.chars = total
+        para.link_chars = min(link_total, total)
+        para.inline_tags = inline_tags
+        para.in_selector = self._os
+        if self._ob:
+            para.group = ("boiler",) + para.group
+        self.paras.append(para)
 
     def _upd_mask(self) -> None:
         """Recompute the combined word mask after any sub/sup/font/pre
@@ -340,6 +347,15 @@ class _SegmentingParser(HTMLParser):
                       | (4 if f[4] else 0) | (8 if f[8] else 0)
                       | (16 if f[16] else 0)
                       | (32 if f[32] or self._pre else 0))
+
+    def _reset_inline(self) -> None:
+        """A sectioning root closes any still-open anchor, sub/sup and
+        font tag."""
+        self._link = 0
+        self._sub = 0
+        self._sup = 0
+        self._font = {4: 0, 8: 0, 16: 0, 32: 0}
+        self._upd_mask()
 
     # -- non-text emissions -------------------------------------------------
 
@@ -353,31 +369,30 @@ class _SegmentingParser(HTMLParser):
 
     # -- HTMLParser hooks ---------------------------------------------------
 
-    @property
-    def _skip(self) -> int:
-        return len(self._skip_stack)
-
     def handle_starttag(self, tag, attrs):
         if tag in _SKIP_TAGS:
             # implied close: non-nesting skip tags close themselves when a
             # sibling opens (<option>A<option>B), and <head> closes when
             # body content starts
-            if tag in _NON_NESTING_SKIP and self._skip_stack \
-                    and self._skip_stack[-1] == tag:
-                self._skip_stack.pop()
-            self._skip_stack.append(tag)
+            stack = self._skip_stack
+            if tag in _NON_NESTING_SKIP and stack and stack[-1] == tag:
+                stack.pop()
+            stack.append(tag)
+            self._skip = len(stack)
             return
         if self._skip:
             # HTML5 allows omitting </head>: any structural/flowing tag
             # implies it closed (otherwise the whole page is swallowed)
-            if "head" in self._skip_stack and tag in _FLUSH_TAGS:
+            if tag in _FLUSH_TAGS and "head" in self._skip_stack:
                 self._skip_stack.remove("head")
+                self._skip = len(self._skip_stack)
                 if self._skip:
                     return
             else:
                 return
         if tag == "br":
-            self._items.append(("br",))
+            if not (self._boiler and self._drop_boiler):
+                self._items.append(_BR)
             return
         if tag == "hr":
             self._emit_nontext("hline", "horz_line")
@@ -392,13 +407,12 @@ class _SegmentingParser(HTMLParser):
         if self.selector_tag and tag == self.selector_tag:
             self._selector += 1
         if tag in _FLUSH_TAGS:
-            self._flush()
+            if self._items:
+                self._flush()
+            else:
+                self._inline_tags = 0
             if tag in _ANCHOR_RESET_TAGS:
-                self._link = 0
-                self._sub = 0
-                self._sup = 0
-                self._font = {4: 0, 8: 0, 16: 0, 32: 0}
-                self._upd_mask()
+                self._reset_inline()
             if tag == "pre":
                 self._pre += 1
                 self._upd_mask()
@@ -407,27 +421,32 @@ class _SegmentingParser(HTMLParser):
                 if k == "role" and v:
                     role = v.lower()
             opens_ctr = tag in _BOILER_TAGS or role in _BOILER_ROLES
-            if self._role_ctrs and not opens_ctr:
-                # a same-name descendant: its end tag is not the
-                # container's
-                i = self._role_ctr(tag)
-                if i >= 0:
-                    self._role_ctrs[i][1] += 1
+            gs = self._group_stack
+            ctrs = self._role_ctrs
+            if ctrs:
+                if tag in _IMPLIED_END and gs and gs[-1] in _IMPLIED_END[tag]:
+                    # HTML's implied end tag: a sibling <p>/<li> (<dt>/<dd>)
+                    # closes the open one, here a role container
+                    del ctrs[self._role_ctr(gs.pop()[1])]
+                    self._boiler = max(0, self._boiler - 1)
+                if not opens_ctr:
+                    # a same-name descendant: its end tag is not the
+                    # container's
+                    i = self._role_ctr(tag)
+                    if i >= 0:
+                        ctrs[i][1] += 1
             if opens_ctr:
                 self._boiler += 1
-                self._group_stack.append(("boilerctr", tag))
+                gs.append(("boilerctr", tag))
                 if tag not in _BOILER_TAGS:
-                    self._role_ctrs.append([tag, 0])
-            elif tag in ("table", "thead", "tbody", "tfoot", "tr"):
-                if tag == "table":
-                    self._group_stack.append(("table", self._fresh_id()))
-            elif tag in ("ul", "ol", "dl"):
-                self._group_stack.append(("list", self._fresh_id()))
-            elif tag == "blockquote":
-                self._group_stack.append(("bq", self._fresh_id()))
-            elif tag == "figure":
-                self._group_stack.append(("figure", self._fresh_id()))
-            self._note_context(tag)
+                    ctrs.append([tag, 0])
+            elif tag in _GROUP_KINDS:
+                gs.append((_GROUP_KINDS[tag], self._fresh_id()))
+            # the context a paragraph opening here takes; heading/caption
+            # apply only while the tag is open (see handle_endtag)
+            self._og = _OPEN_GROUP.get(tag) or (gs[-1] if gs else _FLOW)
+            self._ob = self._boiler > 0
+            self._os = self._selector > 0
             return
         # inline tag
         if tag == "a":
@@ -448,7 +467,7 @@ class _SegmentingParser(HTMLParser):
             # element-boundary marker: distinguishes markup-split text
             # (dropcap detection) from mere data-chunk splits (charrefs),
             # making the result independent of data granularity
-            self._items.append(("tb",))
+            self._items.append(_TB)
 
     def handle_startendtag(self, tag, attrs):
         self.handle_starttag(tag, attrs)
@@ -459,50 +478,56 @@ class _SegmentingParser(HTMLParser):
         if tag in _SKIP_TAGS:
             # pop the nearest matching open skip tag (tolerates interleaved
             # malformed closes); anything above it was implicitly closed
-            for i in range(len(self._skip_stack) - 1, -1, -1):
-                if self._skip_stack[i] == tag:
-                    del self._skip_stack[i:]
+            stack = self._skip_stack
+            for i in range(len(stack) - 1, -1, -1):
+                if stack[i] == tag:
+                    del stack[i:]
+                    self._skip = i
                     break
             return
         if self._skip:
             return
-        if tag in ("br", "hr", "img"):
-            return
-        if self._pre and tag == "pre":
-            self._pre -= 1
-            self._upd_mask()
         if tag in _FLUSH_TAGS:
-            self._flush()
-            if tag in _ANCHOR_RESET_TAGS:
-                self._link = 0
-                self._sub = 0
-                self._sup = 0
-                self._font = {4: 0, 8: 0, 16: 0, 32: 0}
+            if self._pre and tag == "pre":
+                self._pre -= 1
                 self._upd_mask()
-            ctr = self._role_ctr(tag) if self._role_ctrs else -1
-            if ctr >= 0 and self._role_ctrs[ctr][1]:
-                self._role_ctrs[ctr][1] -= 1   # a same-name descendant
+            if self._items:
+                self._flush()
+            else:
+                self._inline_tags = 0
+            if tag in _ANCHOR_RESET_TAGS:
+                self._reset_inline()
+            gs = self._group_stack
+            ctrs = self._role_ctrs
+            ctr = self._role_ctr(tag) if ctrs else -1
+            if ctr >= 0 and ctrs[ctr][1] and not (
+                    tag in _IMPLIED_END and gs and gs[-1] == ("boilerctr", tag)):
+                # a same-name descendant.  (Directly inside a p/li/dt/dd
+                # container no same-name element stays open — a sibling
+                # would have closed the container — so there the end tag
+                # is the container's.)
+                ctrs[ctr][1] -= 1
                 ctr = -1
             if ctr >= 0:
-                del self._role_ctrs[ctr]
+                del ctrs[ctr]
             if (tag in _BOILER_TAGS or ctr >= 0) and self._boiler:
                 # pop matching boiler container if present
-                for i in range(len(self._group_stack) - 1, -1, -1):
-                    if self._group_stack[i] == ("boilerctr", tag):
-                        del self._group_stack[i]
+                for i in range(len(gs) - 1, -1, -1):
+                    if gs[i] == ("boilerctr", tag):
+                        del gs[i]
                         self._boiler -= 1
                         break
                 else:
                     self._boiler = max(0, self._boiler - 1)
-            elif tag == "table":
-                self._pop_group("table")
-            elif tag in ("ul", "ol", "dl"):
-                self._pop_group("list")
-            elif tag == "blockquote":
-                self._pop_group("bq")
-            elif tag == "figure":
-                self._pop_group("figure")
-            self._note_context(tag, closing=True)
+            elif tag in _GROUP_KINDS:
+                self._pop_group(_GROUP_KINDS[tag])
+            # after the end tag, following bare text falls back to the
+            # container group
+            self._og = gs[-1] if gs else _FLOW
+            self._ob = self._boiler > 0
+            self._os = self._selector > 0
+        elif tag in ("br", "hr", "img"):
+            return
         else:
             if tag == "a":
                 self._link = max(0, self._link - 1)
@@ -517,38 +542,40 @@ class _SegmentingParser(HTMLParser):
                 self._font[bit] = max(0, self._font[bit] - 1)
                 self._upd_mask()
             if self._items:
-                self._items.append(("tb",))
+                self._items.append(_TB)
         if self.selector_tag and tag == self.selector_tag:
             self._selector = max(0, self._selector - 1)
 
+    def _pop_group(self, kind: str) -> None:
+        gs = self._group_stack
+        for i in range(len(gs) - 1, -1, -1):
+            if gs[i][0] == kind:
+                del gs[i]
+                return
+
     def _role_ctr(self, tag: str) -> int:
         """Index of the innermost open role container named ``tag``, or -1."""
-        for i in range(len(self._role_ctrs) - 1, -1, -1):
-            if self._role_ctrs[i][0] == tag:
+        ctrs = self._role_ctrs
+        for i in range(len(ctrs) - 1, -1, -1):
+            if ctrs[i][0] == tag:
                 return i
         return -1
 
-    def _pop_group(self, kind: str) -> None:
-        for i in range(len(self._group_stack) - 1, -1, -1):
-            if self._group_stack[i][0] == kind:
-                del self._group_stack[i]
-                return
-
     def handle_data(self, data):
-        if self._skip or not data:
+        if self._skip or not data or (self._boiler and self._drop_boiler):
             return
-        if not self._items:
+        items = self._items
+        if not items:
             # context is captured when the paragraph's first content arrives
-            self.__dict__["_ob"] = self._boiler > 0
-            self.__dict__["_os"] = self._selector > 0
-            if "_og" not in self.__dict__ or self.__dict__["_og"] is None:
-                self.__dict__["_og"] = ("flow",)
+            self._ob = self._boiler > 0
+            self._os = self._selector > 0
+            if self._og is None:
+                self._og = _FLOW
         mask = self._mask
-        if "\n" in data and self._pre:
-            parts = data.split("\n")
-            for i, part in enumerate(parts):
+        if self._pre and "\n" in data:
+            for i, part in enumerate(data.split("\n")):
                 if i:
-                    self._items.append(("br",))
+                    items.append(_BR)
                 if part:
                     self._append_text(part, mask)
         else:
@@ -563,15 +590,74 @@ class _SegmentingParser(HTMLParser):
         the difference)."""
         in_link = self._link > 0
         items = self._items
-        if items and items[-1][0] == "txt" and items[-1][2] == in_link \
-                and items[-1][3] == mask:
-            items[-1] = ("txt", items[-1][1] + data, in_link, mask)
-        else:
-            items.append(("txt", data, in_link, mask))
+        if mask:
+            self._masked = True
+        if items:
+            last = items[-1]
+            if last[0] == "txt" and last[2] == in_link and last[3] == mask:
+                items[-1] = ("txt", last[1] + data, in_link, mask)
+                return
+        items.append(("txt", data, in_link, mask))
 
     def close(self):
         super().close()
         self._flush()
+
+
+def _masked_lines(items: list[tuple]) -> tuple[list[str], list[int], int, int]:
+    """``(lines, word masks, chars, link chars)`` of a paragraph's items
+    when some text carries a sub/sup/font mask.
+
+    Run-based token masks: each line is a short list of (text, mask) RUNS
+    — a token's mask is the OR of the runs its [start, end) overlaps, found
+    by walking run end offsets alongside the (ordered) token matches.
+    O(runs + tokens), never one mask per character: with the font bits,
+    <b>/<i>/<em> put most realistic paragraphs on this path.
+    (_append_text never emits empty runs, so zero-length-run masks can't
+    leak in.)"""
+    lines: list[str] = []
+    masks: list[int] = []
+    total = link_total = 0
+    cur: list[tuple] = []
+    for it in items + [_BR]:
+        kind = it[0]
+        if kind == "txt":
+            cur.append((it[1], it[3]))
+            if it[2]:
+                link_total += len(" ".join(it[1].split()))
+            continue
+        if kind != "br":
+            continue
+        raw = "".join(s for s, _m in cur)
+        ends: list[int] = []
+        rmasks: list[int] = []
+        pos = 0
+        for s, m in cur:
+            pos += len(s)
+            ends.append(pos)
+            rmasks.append(m)
+        cur = []
+        toks: list[str] = []
+        ri = 0
+        for mt in _NONWS_RE.finditer(raw):
+            a = mt.start()
+            while ends[ri] <= a:
+                ri += 1
+            mm = rmasks[ri]
+            j = ri
+            b_end = mt.end()
+            while ends[j] < b_end:
+                j += 1
+                mm |= rmasks[j]
+            toks.append(mt.group())
+            masks.append(mm)
+        if toks:
+            # " ".join(tokens) == " ".join(raw.split()) — the
+            # byte-identity invariant of the unmasked path
+            text = " ".join(toks)
+            lines.append(text)
+            total += len(text)
+    return lines, masks, total, link_total
 
 
 # ---------------------------------------------------------------------------
@@ -664,52 +750,58 @@ def _feed_fast(parser: _SegmentingParser, text: str) -> None:
 
     pos = 0
     n = len(text)
+    search = _TAG_RE.search
     data = parser.handle_data
+    start = parser.handle_starttag
+    end = parser.handle_endtag
     while pos < n:
-        m = _TAG_RE.search(text, pos)
+        m = search(text, pos)
         if m is None:
-            data(unescape(text[pos:]) if "&" in text[pos:] else text[pos:])
-            break
-        if m.start() > pos:
-            seg = text[pos:m.start()]
+            seg = text[pos:]
             data(unescape(seg) if "&" in seg else seg)
-        if m.group(5):                      # unterminated <!-- / <![CDATA[
+            break
+        at = m.start()
+        if at > pos:
+            seg = text[pos:at]
+            data(unescape(seg) if "&" in seg else seg)
+        _, end_name, name, blob, unterminated = m.groups()
+        if unterminated:                    # unterminated <!-- / <![CDATA[
             # stdlib (at EOF) emits the construct as data up to and
             # including the FIRST '>' (charrefs converted) and resumes
             # parsing after it; with no '>' left, the remainder is data
-            j = text.find(">", m.start())
-            seg = text[m.start():] if j < 0 else text[m.start():j + 1]
+            j = text.find(">", at)
+            seg = text[at:] if j < 0 else text[at:j + 1]
             data(unescape(seg) if "&" in seg else seg)
             if j < 0:
                 break
             pos = j + 1
             continue
         pos = m.end()
-        if m.group(2):                      # end tag
-            parser.handle_endtag(m.group(2).lower())
+        if end_name:
+            end(end_name.lower())
             continue
-        name = m.group(3)
         if not name:                        # comment/doctype/bogus/PI
             continue
         tag = name.lower()
-        blob = m.group(4) or ""
-        if _UNTERM_Q_RE.search(blob):
-            raise _StdlibFallback
-        attrs = []
-        # attrs only matter for the boilerplate role check on flush tags
-        if tag in _FLUSH_TAGS and _ROLE_HINT_RE.search(blob):
-            val = _role_attr(blob)
-            if val is not None:
-                attrs = [("role", unescape(val) if "&" in val else val)]
-        stripped = blob.rstrip()
-        # self-closing iff the trailing "/" is its own token — a "/" glued
-        # to an unquoted attribute value (<a href=/>) is part of the VALUE
-        # in html.parser's tolerant attr grammar, not a self-close marker
-        if stripped.endswith("/") and (len(stripped) == 1
-                                       or stripped[-2] in " \t\r\n\"'"):
-            parser.handle_startendtag(tag, attrs)
-            continue
-        parser.handle_starttag(tag, attrs)
+        attrs = ()
+        if blob:
+            if _UNTERM_Q_RE.search(blob):
+                raise _StdlibFallback
+            # attrs only matter for the boilerplate role check on flush tags
+            if tag in _FLUSH_TAGS and _ROLE_HINT_RE.search(blob):
+                val = _role_attr(blob)
+                if val is not None:
+                    attrs = [("role", unescape(val) if "&" in val else val)]
+            stripped = blob.rstrip()
+            # self-closing iff the trailing "/" is its own token — a "/"
+            # glued to an unquoted attribute value (<a href=/>) is part of
+            # the VALUE in html.parser's tolerant attr grammar, not a
+            # self-close marker
+            if stripped.endswith("/") and (len(stripped) == 1
+                                           or stripped[-2] in " \t\r\n\"'"):
+                parser.handle_startendtag(tag, attrs)
+                continue
+        start(tag, attrs)
         if tag in _CDATA_CLOSE:
             # raw-content elements: embedded '<' is not markup until the
             # matching close tag (html.parser set_cdata_mode equivalent)
@@ -727,31 +819,88 @@ def _feed_fast(parser: _SegmentingParser, text: str) -> None:
 # classification + merging + assembly
 
 
-def _alpha_ratio(text: str) -> float:
-    if not text:
-        return 0.0
-    # sum(map(...)) counts True as 1 — identical to the genexpr count but
-    # ~2× faster in the hottest scoring path
-    return sum(map(str.isalpha, text)) / len(text)
+#: ``str.isalpha`` of every code point below U+0800; entry 0x800 stands
+#: for the higher ones
+_ALPHA_LOW = np.array([chr(c).isalpha() for c in range(0x800)] + [False])
 
 
-def _para_confidence(text: str, link_density: float, stop: frozenset[str]) -> float:
-    """0–100 content-confidence score — the ResultIterator confidence
-    analogue (ResultHandle.java:84-89), computed from extraction features
-    instead of OCR posterior: link density, length saturation, dictionary
-    hit rate (TessBaseAPIIsValidWord analogue) and alphabetic ratio."""
-    words = text.split()
-    n = len(words)
-    if n == 0:
-        return 0.0
-    hits = sum(1 for w in words if w.strip(".,;:!?\"'()[]«»").lower() in stop)
-    score = (
-        0.35 * (1.0 - link_density)
-        + 0.25 * min(1.0, n / 20.0)
-        + 0.25 * min(1.0, 4.0 * hits / n)
-        + 0.15 * _alpha_ratio(text)
-    )
-    return round(100.0 * max(0.0, min(1.0, score)), 4)
+def _alpha_counts(texts: list[str], lens: np.ndarray) -> np.ndarray:
+    """How many characters of each text ``str.isalpha`` accepts: a table
+    lookup below U+0800, one ``isalpha`` per distinct code point above."""
+    cp = np.frombuffer("".join(texts).encode("utf-32-le", "surrogatepass"),
+                       np.uint32)
+    alpha = _ALPHA_LOW[np.minimum(cp, 0x800)]
+    if len(cp) and cp.max() >= 0x800:
+        high = cp >= 0x800
+        uniq, inv = np.unique(cp[high], return_inverse=True)
+        alpha[high] = np.array([chr(c).isalpha() for c in uniq.tolist()],
+                               bool)[inv]
+    csum = np.zeros(len(cp) + 1, np.int64)
+    np.cumsum(alpha, out=csum[1:])
+    ends = np.cumsum(lens)
+    return csum[ends] - csum[ends - lens]
+
+
+def score_paragraphs(texts: list[str], link_densities: list[float],
+                     codes: list[int]) -> list[float]:
+    """0–100 content-confidence score of each paragraph — the
+    ResultIterator confidence analogue (ResultHandle.java:84-89), computed
+    from extraction features instead of OCR posterior: link density,
+    length saturation, dictionary hit rate (TessBaseAPIIsValidWord
+    analogue, :func:`dictionary_words` with each paragraph's ``codes``
+    entry) and alphabetic ratio.
+
+    One pass for any number of paragraphs: Arrow splits, normalizes and
+    looks up every word at once and numpy makes the per-paragraph counts;
+    only the arithmetic on those counts runs per paragraph, the formula
+    written once, in plain floats."""
+    if not texts:
+        return []
+    # stripped first, as Arrow gives edge whitespace an empty word, and
+    # word-free texts as nulls, which split into no words at all
+    words = pc.utf8_split_whitespace(
+        pa.array([t.lower().strip() or None for t in texts], pa.string()))
+    offs = words.offsets.to_numpy()
+    n = offs[1:] - offs[:-1]
+    owner = np.repeat(np.arange(len(texts)), n)
+    _, hit = dictionary_words(words.flatten(),
+                              np.asarray(codes, np.intp)[owner])
+    hits = np.bincount(owner[hit], minlength=len(texts))
+    lens = np.fromiter(map(len, texts), np.int64, len(texts))
+    alpha = _alpha_counts(texts, lens)
+    out = []
+    for nw, h, a, size, ld in zip(n.tolist(), hits.tolist(), alpha.tolist(),
+                                  lens.tolist(), link_densities):
+        if nw == 0:
+            out.append(0.0)
+            continue
+        score = (0.35 * (1.0 - ld)
+                 + 0.25 * min(1.0, nw / 20.0)
+                 + 0.25 * min(1.0, 4.0 * h / nw)
+                 + 0.15 * (a / size))
+        out.append(round(100.0 * max(0.0, min(1.0, score)), 4))
+    return out
+
+
+def score_documents(docs: list[tuple[list, str | None]]) -> list[list[float]]:
+    """Per ``(blocks, lang)`` document, the confidence of each paragraph
+    :func:`assemble` lays out (every paragraph with lines, in block
+    order), all documents scored in one :func:`score_paragraphs` pass."""
+    texts: list[str] = []
+    lds: list[float] = []
+    codes: list[int] = []
+    bounds = [0]
+    for blocks, lang in docs:
+        code = stop_code(lang)
+        for blk in blocks:
+            for p in blk.paras:
+                if p.lines:
+                    texts.append("\n".join(p.lines))
+                    lds.append(p.link_chars / p.chars if p.chars else 0.0)
+                    codes.append(code)
+        bounds.append(len(texts))
+    confs = score_paragraphs(texts, lds, codes)
+    return [confs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def _default_classify(para: _Para, cfg: ExtractConfig) -> str:
@@ -839,7 +988,7 @@ def _make_charfilter(cfg: ExtractConfig):
             line = line.translate(table)
         if keep is not None:
             line = "".join(c for c in line if c in keep)
-        return _WS_RE.sub(" ", line).strip()
+        return " ".join(line.split())
 
     return apply
 
@@ -856,13 +1005,16 @@ def _feed_stdlib(parser: _SegmentingParser, text: str) -> None:
 
 def segment_html(text: str, cfg: ExtractConfig) -> list[_Block]:
     """Parse + classify + merge: HTML string → ordered block list."""
-    parser = _SegmentingParser(cfg.selector_tag)
+    # boilerplate text is NOISE unless a block rule may rescue it or
+    # SINGLE_BLOCK keeps every paragraph: then the parser drops it unbuilt
+    drop_boiler = not cfg.block_rules and cfg.mode != Mode.SINGLE_BLOCK
+    parser = _SegmentingParser(cfg.selector_tag, drop_boiler)
     try:
         _feed_fast(parser, text)
     except Exception:
         # any internal tokenizer error → redo the document on the
         # stdlib front-end (same event semantics, slower)
-        parser = _SegmentingParser(cfg.selector_tag)
+        parser = _SegmentingParser(cfg.selector_tag, drop_boiler)
         _feed_stdlib(parser, text)
 
     paras = [p for p in parser.paras if p.in_selector]
@@ -901,7 +1053,8 @@ def segment_html(text: str, cfg: ExtractConfig) -> list[_Block]:
     return blocks
 
 
-def assemble(blocks: list[_Block], lang: str | None, cfg: ExtractConfig) -> ExtractResult:
+def assemble(blocks: list[_Block], lang: str | None, cfg: ExtractConfig,
+             confs: list[float] | None = None) -> ExtractResult:
     """Blocks → final text + block/para/line span rows in one pass (offsets
     always index the final text; never post-hoc searched — SURVEY.md §7
     hard-part #2).
@@ -916,8 +1069,14 @@ def assemble(blocks: list[_Block], lang: str | None, cfg: ExtractConfig) -> Extr
     from the line spans and the final text.  All they need beyond that is
     recorded on the result: each masked paragraph's per-word masks and each
     dropcap paragraph, keyed by the paragraph's ``node_id``.
+
+    ``confs`` are the paragraph confidences :func:`score_documents` gave
+    these blocks, when the caller scored a whole batch; without them the
+    document is scored as a batch of one.
     """
-    stop = stopwords_for(lang)
+    if confs is None:
+        confs = score_documents([(blocks, lang)])[0]
+    next_conf = iter(confs).__next__
     parts: list[str] = []
     outline: list[Span] = []
     word_masks: list[tuple[int, list[int]]] = []
@@ -956,10 +1115,9 @@ def assemble(blocks: list[_Block], lang: str | None, cfg: ExtractConfig) -> Extr
                 parts.append("\n")
                 offset += 1
             first_para = False
-            ptext = "\n".join(para.lines)
             ld = para.link_chars / para.chars if para.chars else 0.0
             td = para.chars / (para.chars + 8.0 * (1 + para.inline_tags)) if para.chars else 0.0
-            conf = _para_confidence(ptext, ld, stop)
+            conf = next_conf()
             pid = len(outline)
             pspan = Span(pid, bid, Level.PARA, bt, offset, offset, conf,
                          round(td, 4), round(ld, 4))
@@ -978,7 +1136,7 @@ def assemble(blocks: list[_Block], lang: str | None, cfg: ExtractConfig) -> Extr
                 parts.append(line)
                 offset += len(line)
             pspan.end = offset
-            n = len(ptext)
+            n = offset - pspan.start
             blk_chars += n
             blk_links += ld * n
             blk_conf_w += conf * n
@@ -1004,18 +1162,12 @@ def assemble(blocks: list[_Block], lang: str | None, cfg: ExtractConfig) -> Extr
     )
 
 
-def extract_html(html_text: str, lang: str | None, cfg: ExtractConfig) -> ExtractResult:
-    """Full pass: HTML string → ExtractResult (text + spans + metrics)."""
-    blocks = segment_html(html_text, cfg)
-    return assemble(blocks, lang, cfg)
-
-
 def extract_plain_text(text: str, lang: str | None, cfg: ExtractConfig) -> ExtractResult:
     """TEXT_ONLY mode / plain-text payloads: paragraphs on blank lines,
     lines on newlines, one flowing block per paragraph run."""
     paras: list[_Para] = []
     for chunk in re.split(r"\n\s*\n", text):
-        lines = [_WS_RE.sub(" ", ln).strip() for ln in chunk.split("\n")]
+        lines = [" ".join(ln.split()) for ln in chunk.split("\n")]
         lines = [ln for ln in lines if ln]
         if lines:
             p = _Para(group=("flow",))

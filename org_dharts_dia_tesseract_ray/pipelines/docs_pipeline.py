@@ -415,7 +415,7 @@ def word_predicates_sql(table: str = "documents") -> str:
     words plus the body tokens at window-sum offsets.  The stopword
     tables are inlined from the engine's own ``_STOPWORDS`` (single
     source of truth); unknown langs fall back to English exactly like
-    ``stopwords_for``."""
+    ``html_extract.stop_code``."""
     from ..extract.html_extract import _STOPWORDS
 
     sw_rows = ", ".join(

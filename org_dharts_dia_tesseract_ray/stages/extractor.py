@@ -11,10 +11,12 @@ stores the config), so a plain task pool beats an actor pool here.
 Output schema = ``extracted`` document rows (SURVEY.md §1.3) plus a nested
 ``spans`` list<struct> column: ONE parse pass produces both tables; the
 ``spans`` table is a cheap columnar explode downstream
-(:func:`explode_spans_batch`), never a re-parse.  ``extract_one`` runs per
-document and yields the text plus block, para and line spans; the word
-rows, about nine in ten span rows, are derived once per batch in columns
-(``extract.spans.span_array``), never one ``Span`` object per word.
+(:func:`explode_spans_batch`), never a re-parse.  ``extract_one`` segments
+each document; ``finish_batch`` then scores the paragraphs of the whole
+batch in one pass and lays out each document's text plus block, para and
+line spans.  The word rows, about nine in ten span rows, are derived once
+per batch in columns (``extract.spans.span_array``), never one ``Span``
+object per word.
 The input ``html`` payload column is dropped on output so downstream blocks
 shrink (SURVEY.md §4 memory note).
 """
@@ -25,7 +27,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import ExtractConfig
-from ..extract.api import extract_one
+from ..extract.api import extract_one, finish_batch
 from ..extract.spans import SPAN_STRUCT, span_array
 
 EXTRACTED_SCHEMA = pa.schema([
@@ -87,8 +89,11 @@ class HtmlExtractor:
         payloads = batch["html"].to_pylist()
         langs = lang_col.to_pylist() if lang_col is not None else [None] * n
         ctexts = text_col.to_pylist() if text_col is not None else [None] * n
-        results = [extract_one(payload, lang, ctext, cfg)
-                   for payload, lang, ctext in zip(payloads, langs, ctexts)]
+        # HTML rows come back segmented only (the last argument), to be
+        # scored and assembled together
+        results = finish_batch(
+            [extract_one(payload, lang, ctext, cfg, True)
+             for payload, lang, ctext in zip(payloads, langs, ctexts)], cfg)
 
         def col(name, typ):
             return pa.array([getattr(r, name) for r in results], typ)
@@ -208,26 +213,22 @@ WORD_PRED_SCHEMA = pa.schema([
     ("is_numeric", pa.bool_()),
 ])
 
-#: punctuation stripped before the predicate checks — EXACTLY the set the
-#: confidence score's dictionary-hit feature strips (html_extract.
-#: _para_confidence); the two must stay in sync.
-_PRED_PUNCT = ".,;:!?\"'()[]«»"
-
 
 def word_predicates_batch(batch: pa.Table) -> pa.Table:
     """``isDictionaryWord`` / ``isNumeric`` word predicates — the I12
     analogue (RecognitionResultsIterator.java:128-136,
     ResultHandle.java:131-151): one row per word span with the two
     predicate columns, dictionary membership per the document's language
-    (``stopwords_for`` — the TessBaseAPIIsValidWord analogue, same
-    normalization as the confidence score's dictionary-hit feature).
+    (``html_extract.dictionary_words`` — the TessBaseAPIIsValidWord
+    analogue, the very test the confidence score's dictionary-hit feature
+    makes).
 
     Vectorized like :func:`boxes_batch`: flatten + slice, then pyarrow
-    trim/lower/is_in/regex kernels — the only per-row Python is the text
-    slice."""
+    trim/index_in/regex kernels — the only per-row Python is the text
+    slice and its ``str.lower``."""
     import numpy as np
 
-    from ..extract.html_extract import stopwords_for
+    from ..extract.html_extract import dictionary_words, stop_code
 
     spans_col = batch["spans"]
     if isinstance(spans_col, pa.ChunkedArray):
@@ -247,16 +248,11 @@ def word_predicates_batch(batch: pa.Table) -> pa.Table:
     words = [texts[r][s:e]
              for r, s, e in zip(k_row.tolist(), k_s.tolist(), k_e.tolist())]
     warr = pa.array(words, pa.string())
-    norm = pc.utf8_lower(pc.utf8_trim(warr, _PRED_PUNCT))
     langs = (batch["lang"].to_pylist() if "lang" in batch.column_names
              else [None] * batch.num_rows)
-    rl = np.array([(langs[r] or "en")[:2].lower() for r in k_row.tolist()],
-                  dtype=object)
-    isdict = np.zeros(len(words), dtype=bool)
-    for lg in set(rl.tolist()):
-        sw = pa.array(sorted(stopwords_for(lg)), pa.string())
-        hit = np.asarray(pc.is_in(norm, value_set=sw))
-        isdict |= hit & (rl == lg)
+    codes = np.array([stop_code(lg) for lg in langs], np.intp)
+    norm, isdict = dictionary_words(
+        pa.array([w.lower() for w in words], pa.string()), codes[k_row])
     isnum = np.asarray(pc.match_substring_regex(norm, r"^[0-9]+$"))
     return pa.Table.from_arrays(
         [pc.take(batch["url"], pa.array(k_row, pa.int64())),
@@ -328,7 +324,7 @@ def _hocr_render(text: str, idxs, lvls, nids, sts, ens, confs,
                 out.append(head + _hocr_esc(text[st:en]) + "</span>")
         elif lvl == "word" and include_words:
             # confidence is already on the hOCR 0-100 scale
-            # (_para_confidence emits 0-100; same scale unlv reject_below
+            # (score_paragraphs emits 0-100; same scale unlv reject_below
             # documents) — a further ×100 put x_wconf on 0-10000
             conf = int(round(float(confs[i])))
             out.append(f"<span class='ocrx_word' id='word_{nid}' "

@@ -144,6 +144,29 @@ def test_role_banner_container_counts_nested_same_name_tags():
     assert r.text == "What follows the banner is the article body."
 
 
+def test_role_container_on_p_or_li_ends_at_implied_end_tag():
+    """HTML lets a page omit </p>, </li>, </dt> and </dd>: a sibling open
+    ends a role container on such a tag, as the browser ends the
+    element."""
+    body = (b"The main article text is long enough to be content here.")
+    r = extract_one(b"<p role=navigation><a href=/>Home</a><p>" + body
+                    + b"</p>", "en")
+    assert r.text == body.decode()
+    r = extract_one(b"<ul><li role=navigation><a href=/>Home</a><li>"
+                    + body + b"</ul>", "en")
+    assert r.text == body.decode()
+    r = extract_one(b"<dl><dt role=navigation><a href=/>Home</a><dd>"
+                    + body + b"</dl>", "en")
+    assert r.text == body.decode()
+    # an <li> of a nested list is a descendant, not a sibling: the
+    # container ends at its own </li>, or at the next sibling <li>
+    for end in (b"</li>", b"<li>"):
+        r = extract_one(b"<ul><li role=navigation><ul><li><a href=/>A</a>"
+                        b"<li><a href=/b>B</a></ul>" + end + body
+                        + b"</ul>", "en")
+        assert r.text == body.decode()
+
+
 def test_role_list_container_keeps_outer_list_group():
     from org_dharts_dia_tesseract_ray.extract.html_extract import (
         _feed_fast, _SegmentingParser)

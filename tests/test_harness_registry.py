@@ -147,7 +147,7 @@ def test_bench_final_line_fits_the_driver_tail(failing):
                 "total_blocks": 600000, "eff_cores_before": 3.9,
                 "eff_cores_after": 3.8}
     record = {"metric": "extract_throughput_docs_per_sec",
-              "value": headline["docs_per_sec"], "unit": "sec",
+              "value": headline["docs_per_sec"], "unit": "docs/s",
               "queries": {"headline_extract": headline,
                           "realistic_extract": dict(headline)},
               "total_wall_sec": 2345.678, "sf": "/root/testdata/sf0.1",
