@@ -1,7 +1,7 @@
-from .api import DEFAULT_CONFIG, extract_one, sniff_kind
+from .api import DEFAULT_CONFIG, extract_batch, extract_one, sniff_kind
 from .types import BlockType, ExtractResult, Level, PayloadKind, Span
 
 __all__ = [
-    "extract_one", "sniff_kind", "DEFAULT_CONFIG",
+    "extract_batch", "extract_one", "sniff_kind", "DEFAULT_CONFIG",
     "BlockType", "ExtractResult", "Level", "PayloadKind", "Span",
 ]

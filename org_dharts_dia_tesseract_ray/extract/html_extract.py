@@ -41,7 +41,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import BlockRuleContext, ExtractConfig, Mode
-from .types import BlockType, ExtractResult, Level, PayloadKind, Span
+from .types import (
+    BlockType, ExtractResult, Level, PayloadKind, Segmented, Span)
 
 # ---------------------------------------------------------------------------
 # tag vocabularies
@@ -975,22 +976,36 @@ class _Block:
     paras: list[_Para]
 
 
-def _make_charfilter(cfg: ExtractConfig):
-    """Build the char-filter closure ONCE per document — constructing the
-    translate table / keep-set per line put O(filter length) dict builds in
-    the hottest loop."""
+def _filter_chars(paras: list[_Para], cfg: ExtractConfig) -> list[_Para]:
+    """``paras`` with the characters of ``cfg.char_blacklist`` removed and
+    only those of ``cfg.char_whitelist`` kept, each line whitespace-collapsed
+    again; a text paragraph left without lines is dropped.  Every payload
+    kind filters its paragraphs here before its blocks are built (HTML
+    before classification).  The translate table and keep-set are built
+    once per document, not per line."""
+    if not (cfg.char_whitelist or cfg.char_blacklist):
+        return paras
     table = ({ord(c): None for c in cfg.char_blacklist}
              if cfg.char_blacklist else None)
     keep = (set(cfg.char_whitelist) | {" "}) if cfg.char_whitelist else None
 
-    def apply(line: str) -> str:
+    def filt(line: str) -> str:
         if table is not None:
             line = line.translate(table)
         if keep is not None:
             line = "".join(c for c in line if c in keep)
         return " ".join(line.split())
 
-    return apply
+    for p in paras:
+        p.lines = [ln for ln in (filt(l) for l in p.lines) if ln]
+        p.chars = sum(len(l) for l in p.lines)
+        # clamp link mass to the surviving chars: filtering removes
+        # characters without attribution, and a stale link_chars > chars
+        # yields link density > 1 and misclassifies surviving content
+        # paragraphs as NOISE
+        p.link_chars = min(p.link_chars, p.chars)
+        p.word_masks = None   # filtering re-segments words
+    return [p for p in paras if p.lines or not p.is_text]
 
 
 def _feed_stdlib(parser: _SegmentingParser, text: str) -> None:
@@ -1017,20 +1032,7 @@ def segment_html(text: str, cfg: ExtractConfig) -> list[_Block]:
         parser = _SegmentingParser(cfg.selector_tag, drop_boiler)
         _feed_stdlib(parser, text)
 
-    paras = [p for p in parser.paras if p.in_selector]
-
-    if cfg.char_whitelist or cfg.char_blacklist:
-        _filt = _make_charfilter(cfg)
-        for p in paras:
-            p.lines = [ln for ln in (_filt(l) for l in p.lines) if ln]
-            p.chars = sum(len(l) for l in p.lines)
-            # clamp link mass to the surviving chars: filtering removes
-            # characters without attribution, and a stale link_chars >
-            # chars yields link density > 1 and misclassifies surviving
-            # content paragraphs as NOISE
-            p.link_chars = min(p.link_chars, p.chars)
-            p.word_masks = None   # filtering re-segments words
-        paras = [p for p in paras if p.lines or not p.is_text]
+    paras = _filter_chars([p for p in parser.paras if p.in_selector], cfg)
 
     if cfg.mode == Mode.SINGLE_BLOCK:
         kept = [p for p in paras if p.is_text and p.lines]
@@ -1162,19 +1164,16 @@ def assemble(blocks: list[_Block], lang: str | None, cfg: ExtractConfig,
     )
 
 
-def extract_plain_text(text: str, lang: str | None, cfg: ExtractConfig) -> ExtractResult:
+def extract_plain_text(text: str, lang: str | None, cfg: ExtractConfig,
+                       charset: str = "") -> Segmented:
     """TEXT_ONLY mode / plain-text payloads: paragraphs on blank lines,
-    lines on newlines, one flowing block per paragraph run."""
+    lines on newlines, one flowing block per paragraph."""
     paras: list[_Para] = []
     for chunk in re.split(r"\n\s*\n", text):
         lines = [" ".join(ln.split()) for ln in chunk.split("\n")]
         lines = [ln for ln in lines if ln]
         if lines:
-            p = _Para(group=("flow",))
-            p.lines = lines
-            p.chars = sum(len(l) for l in lines)
-            paras.append(p)
-    blocks = [_Block(BlockType.FLOWING_TEXT, [p]) for p in paras]
-    res = assemble(blocks, lang, cfg)
-    res.payload_kind = PayloadKind.TEXT
-    return res
+            paras.append(_Para(("flow",), lines, sum(map(len, lines))))
+    blocks = [_Block(BlockType.FLOWING_TEXT, [p])
+              for p in _filter_chars(paras, cfg)]
+    return Segmented(blocks, lang, PayloadKind.TEXT, charset)

@@ -19,8 +19,8 @@ import re
 import zlib
 
 from ..config import ExtractConfig
-from .html_extract import _Block, _Para, assemble
-from .types import BlockType, ExtractResult, PayloadKind
+from .html_extract import _Block, _Para, _filter_chars
+from .types import BlockType, ExtractResult, PayloadKind, Segmented
 
 #: decompressed bytes all FlateDecode streams of one document may expand
 #: to, together; past it the document becomes a ``limit:flate_bytes``
@@ -83,8 +83,9 @@ def _decode_pdf_string(raw: bytes) -> str:
     return _unescape(raw[1:-1]).decode("latin-1")
 
 
-def extract_pdf(payload: bytes, lang: str | None, cfg: ExtractConfig) -> ExtractResult:
-    """``%PDF-`` payload → ExtractResult (text + spans), or error result."""
+def extract_pdf(payload: bytes, lang: str | None,
+                cfg: ExtractConfig) -> Segmented | ExtractResult:
+    """``%PDF-`` payload → its one flowing block, or an error result."""
     paras: list[_Para] = []
     budget = MAX_FLATE_BYTES
     try:
@@ -117,17 +118,14 @@ def extract_pdf(payload: bytes, lang: str | None, cfg: ExtractConfig) -> Extract
                     if text:
                         lines.append(text)
                 if lines:
-                    p = _Para(group=("flow",))
-                    p.lines = lines
-                    p.chars = sum(len(l) for l in lines)
-                    paras.append(p)
+                    paras.append(_Para(("flow",), lines,
+                                       sum(map(len, lines))))
     except Exception as e:  # malformed beyond scope → error row, not a crash
         return ExtractResult(payload_kind=PayloadKind.ERROR,
                              error=f"pdf-parse: {type(e).__name__}: {e}")
     if not paras:
         return ExtractResult(payload_kind=PayloadKind.ERROR,
                              error="pdf-parse: no extractable text objects")
-    blocks = [_Block(BlockType.FLOWING_TEXT, paras)]
-    res = assemble(blocks, lang, cfg)
-    res.payload_kind = PayloadKind.PDF
-    return res
+    paras = _filter_chars(paras, cfg)
+    blocks = [_Block(BlockType.FLOWING_TEXT, paras)] if paras else []
+    return Segmented(blocks, lang, PayloadKind.PDF)

@@ -16,11 +16,13 @@ Analogues of the reference's fixed enums and record classes:
   character offsets into the extracted text.
 * :class:`ExtractResult` — everything the reference's
   ``RecognitionResultsIterator`` exposes for one document, as plain data.
+* :class:`Segmented` — a document between segmentation and assembly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
 class Level:
@@ -74,6 +76,18 @@ class PayloadKind:
     TEXT = "text"
     EMPTY = "empty"
     ERROR = "error"
+
+
+class Segmented(NamedTuple):
+    """A document routed and segmented into blocks, its paragraphs not yet
+    scored: ``extract.api.extract_batch`` scores every such document of a
+    batch in one pass, then assembles each into its :class:`ExtractResult`
+    of kind ``kind`` decoded with ``charset``."""
+
+    blocks: list
+    lang: str | None
+    kind: str
+    charset: str = ""
 
 
 @dataclass(slots=True)

@@ -9,7 +9,7 @@ byte-identity gate demands of extraction (SURVEY.md §7 hard-part #1).
 
 Bucket = first 8 hex chars of md5(text) as uint % n_buckets; DuckDB parses
 the same prefix with ``('0x' || substr(md5(x),1,8))::UBIGINT`` so every
-query here is oracle-checkable.
+query here is oracle-checkable.  Both sides hash a NULL text as ''.
 """
 
 from __future__ import annotations
@@ -30,7 +30,10 @@ def hash_bucket_batch(batch: pa.Table, *, text_col: str = "text",
 
 def deterministic_sample(ds, *, percent: int = 10, text_col: str = "text",
                          n_buckets: int = 100):
-    """Keep rows whose content bucket < percent — a stable percent% sample."""
+    """Keep rows whose content bucket < percent — a stable percent% sample.
+    A NULL text is bucketed as the empty string (bucket 93 of 100), so it
+    is kept from ``percent=94`` up, as :func:`deterministic_sample_sql`
+    keeps it."""
     def f(b: pa.Table) -> pa.Table:
         t = hash_bucket_batch(b, text_col=text_col, n_buckets=n_buckets)
         return t.filter(pc.less(t["bucket"], percent)).drop_columns(["bucket"])
@@ -154,8 +157,9 @@ def weighted_mix_sql(weights: dict[str, int], *, group_col: str = "lang",
 
 
 def bucket_sql_expr(text_col: str = "text", n_buckets: int = 100) -> str:
-    return (f"(('0x' || substr(md5({text_col}), 1, 8))::UBIGINT "
-            f"% {n_buckets})")
+    # coalesce: md5(NULL) is NULL, and hash_bucket_batch hashes NULL as ''
+    return (f"(('0x' || substr(md5(coalesce({text_col}, '')), 1, 8))"
+            f"::UBIGINT % {n_buckets})")
 
 
 def deterministic_sample_sql(percent: int = 10, table: str = "documents",

@@ -11,12 +11,12 @@ stores the config), so a plain task pool beats an actor pool here.
 Output schema = ``extracted`` document rows (SURVEY.md §1.3) plus a nested
 ``spans`` list<struct> column: ONE parse pass produces both tables; the
 ``spans`` table is a cheap columnar explode downstream
-(:func:`explode_spans_batch`), never a re-parse.  ``extract_one`` segments
-each document; ``finish_batch`` then scores the paragraphs of the whole
-batch in one pass and lays out each document's text plus block, para and
-line spans.  The word rows, about nine in ten span rows, are derived once
-per batch in columns (``extract.spans.span_array``), never one ``Span``
-object per word.
+(:func:`explode_spans_batch`), never a re-parse.  ``extract_batch``
+segments each document of the batch, whatever its payload kind, scores the
+paragraphs of all of them in one pass and lays out each document's text
+plus block, para and line spans.  The word rows, about nine in ten span
+rows, are derived once per batch in columns (``extract.spans.span_array``),
+never one ``Span`` object per word.
 The input ``html`` payload column is dropped on output so downstream blocks
 shrink (SURVEY.md §4 memory note).
 """
@@ -27,7 +27,8 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from ..config import ExtractConfig
-from ..extract.api import extract_one, finish_batch
+# extract_one: the stage's per-row result, one document at a time
+from ..extract.api import extract_batch, extract_one  # noqa: F401
 from ..extract.spans import SPAN_STRUCT, span_array
 
 EXTRACTED_SCHEMA = pa.schema([
@@ -89,11 +90,7 @@ class HtmlExtractor:
         payloads = batch["html"].to_pylist()
         langs = lang_col.to_pylist() if lang_col is not None else [None] * n
         ctexts = text_col.to_pylist() if text_col is not None else [None] * n
-        # HTML rows come back segmented only (the last argument), to be
-        # scored and assembled together
-        results = finish_batch(
-            [extract_one(payload, lang, ctext, cfg, True)
-             for payload, lang, ctext in zip(payloads, langs, ctexts)], cfg)
+        results = extract_batch(payloads, langs, ctexts, cfg)
 
         def col(name, typ):
             return pa.array([getattr(r, name) for r in results], typ)

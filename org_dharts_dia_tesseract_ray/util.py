@@ -32,13 +32,6 @@ def first_per_key(t: pa.Table, key: str) -> pa.Table:
     return t.filter(mask)
 
 
-def keep_first_per_key(t: pa.Table, key: str, order_by: list) -> pa.Table:
-    """Sort by ``[key asc] + order_by`` then keep one row per key —
-    the vectorized per-batch combiner for latest-/first-per-key reductions."""
-    sort_keys = [(key, "ascending")] + order_by
-    return first_per_key(t.sort_by(sort_keys), key)
-
-
 def key_change_mask(keys, n: int):
     """Boolean numpy mask: row i starts a new run of equal key values in an
     already-sorted column (adjacent-compare; row 0 always True).  The

@@ -300,6 +300,33 @@ def test_char_whitelist_digits():
     assert r.text == "234"
 
 
+_FILTER_DOCS = {
+    "html": (b"<p>abc 123 def 456</p>", None),
+    "pdf": (make_pdf([["abc 123 def 456"]]), None),
+    "pdf_flate": (make_pdf([["abc 123 def 456"]], compress=True), None),
+    "text": (b"abc 123 def 456", None),
+    "text_only": (None, "abc 123 def 456"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FILTER_DOCS))
+def test_char_filter_applies_to_every_payload_kind(kind):
+    payload, ctext = _FILTER_DOCS[kind]
+    mode = Mode.TEXT_ONLY if ctext is not None else Mode.AUTO
+    for cfg in (ExtractConfig(mode=mode, char_whitelist="0123456789"),
+                ExtractConfig(mode=mode, char_blacklist="abcdef")):
+        r = extract_one(payload, "en", ctext, cfg)
+        assert (r.text, r.error) == ("123 456", None)
+        assert [(s.start, s.end) for s in r.spans if s.level == Level.WORD] \
+            == [(0, 3), (4, 7)]
+    # a filter that removes every character leaves an empty document of
+    # the same kind, not an error
+    r = extract_one(payload, "en", ctext,
+                    ExtractConfig(mode=mode, char_whitelist="#"))
+    assert (r.text, r.n_blocks, r.error) == ("", 0, None)
+    assert r.payload_kind == kind.split("_")[0]
+
+
 def test_determinism_rerun(tiny_rows):
     for row in tiny_rows[:16]:
         a = extract_one(row["html"], row["lang"], row["text"])
@@ -468,10 +495,9 @@ def test_charset_not_sniffed_from_script_urls():
 
 def test_pdf_bad_octal_escape_degrades_gracefully():
     from org_dharts_dia_tesseract_ray.config import ExtractConfig
-    from org_dharts_dia_tesseract_ray.extract.pdf_extract import extract_pdf
     pdf = (b"%PDF-1.4\n<< /Length 40 >>\nstream\n"
            b"BT (Good text here) Tj (bad\\8esc) Tj ET\nendstream\n%%EOF")
-    r = extract_pdf(pdf, "en", ExtractConfig())
+    r = extract_one(pdf, "en", None, ExtractConfig())
     assert r.payload_kind == "pdf" and "Good text here" in r.text
 
 

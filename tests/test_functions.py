@@ -2937,29 +2937,32 @@ def test_throttle_and_transitions_null_semantics(ray_session):
 
 def test_deterministic_sample_matches_bucket_rule(ray_session):
     """r5 registry curation moved sample_10pct out of the oracle window;
-    this pins deterministic_sample to the same content-bucket rule the SQL
-    oracle used (duckdb-equivalent hash expr), reshard-invariant."""
+    this checks deterministic_sample against its own SQL oracle, run in
+    DuckDB, reshard-invariant.  A NULL text is bucketed as '' (bucket 93)
+    on both sides, so percent=94 is the first to keep it; a non-ASCII text
+    hashes its UTF-8 bytes on both sides."""
+    import duckdb
     import ray.data
     from org_dharts_dia_tesseract_ray.functions.sampling import (
-        deterministic_sample)
-    from org_dharts_dia_tesseract_ray.functions.sampling import (
-        hash_bucket_batch)
+        deterministic_sample, deterministic_sample_sql)
 
     docs = pa.table({
-        "doc_id": pa.array(list(range(200)), pa.int64()),
+        "doc_id": pa.array(list(range(202)), pa.int64()),
         "text": pa.array([f"document body {i} " * (1 + i % 3)
-                          for i in range(200)], pa.string())})
-    expected_ids = [
-        docs["doc_id"][i].as_py() for i, b in
-        enumerate(hash_bucket_batch(docs, text_col="text",
-                                    n_buckets=100)["bucket"].to_pylist())
-        if b < 10]
-    for parts in (1, 7):
-        ds = ray.data.from_arrow(docs).repartition(parts)
-        got = sorted(r["doc_id"] for r in
-                     deterministic_sample(ds, percent=10).take_all())
-        assert got == sorted(expected_ids)
-    assert 0 < len(expected_ids) < 200
+                          for i in range(200)]
+                         + [None, "naïve café — 東京 ✓"], pa.string())})
+    con = duckdb.connect()
+    con.register("documents", docs)
+    for percent in (10, 93, 94, 100):
+        expected_ids = sorted(r[0] for r in con.execute(
+            deterministic_sample_sql(percent)).fetchall())
+        assert (200 in expected_ids) == (percent > 93)   # the NULL row
+        for parts in (1, 7):
+            ds = ray.data.from_arrow(docs).repartition(parts)
+            got = sorted(r["doc_id"] for r in
+                         deterministic_sample(ds, percent=percent).take_all())
+            assert got == expected_ids, (percent, parts)
+    assert len(expected_ids) == 202
 
 
 def test_parse_init_languages_grammar():

@@ -7,6 +7,9 @@
   block rule forces.  ``test_extract_properties`` compares the two
   tokenizer front-ends, which share one handler, so it cannot catch a
   handler bug; this can.
+
+It also pins the one batch path: a batch of every payload kind gives what
+each document gives alone, from one scoring pass.
 """
 
 import dataclasses
@@ -17,10 +20,11 @@ import pyarrow.parquet as pq
 import pytest
 
 from org_dharts_dia_tesseract_ray.config import ExtractConfig, Mode
-from org_dharts_dia_tesseract_ray.extract import extract_one
+from org_dharts_dia_tesseract_ray.extract import (
+    api, extract_batch, extract_one, html_extract)
 from org_dharts_dia_tesseract_ray.extract.html_extract import (
     _STOPWORDS, score_paragraphs, stop_code)
-from org_dharts_dia_tesseract_ray.sources.gen_corpus import gen_rows
+from org_dharts_dia_tesseract_ray.sources.gen_corpus import gen_rows, make_pdf
 from org_dharts_dia_tesseract_ray.stages.extractor import HtmlExtractor
 
 # --- batch scorer parity ---------------------------------------------------
@@ -127,11 +131,14 @@ def _noop_rule(ctx):
     return None
 
 
-def _result(payload, lang, text, cfg):
-    r = extract_one(payload, lang, text, cfg)
-    return (r.text, r.doc_confidence, r.n_blocks, r.payload_kind, r.error,
-            r.word_masks, r.dropcaps,
+def _fields(r):
+    return (r.text, r.doc_confidence, r.n_blocks, r.payload_kind, r.charset,
+            r.error, r.word_masks, r.dropcaps,
             [dataclasses.astuple(s) for s in r.spans])
+
+
+def _result(payload, lang, text, cfg):
+    return _fields(extract_one(payload, lang, text, cfg))
 
 
 def _assert_paths_agree(docs, base=None):
@@ -225,3 +232,69 @@ def test_one_bad_document_is_one_error_row():
             [p == h for p in pages["html"].to_pylist()]))).to_pylist()[0]
         assert row == alone
     assert extract_one(bad, "en").error == out[1]["error"]
+
+
+# --- one batch path for every payload kind ---------------------------------
+
+_BAD_PAGE = b'<meta charset="utf-7"><p>+2AA- broken text here</p>'
+_MIXED = [
+    b"<main><h1>A heading</h1><p>The first page has a paragraph of "
+    b"ordinary words, <a href=/x>a link</a> and <b>bold</b> text.</p>"
+    b"<img src=a.png></main>",
+    make_pdf([["A raw PDF page with the words", "of a second line"],
+              ["and a second paragraph of it"]]),
+    make_pdf([["A compressed PDF page, one paragraph"]], compress=True),
+    b"A plain text page with some words.\n\nIts second paragraph here.",
+    b"   \n ",
+    b"\x00\x01\x02 binary junk",
+    "<p>Une page en français, avec des mots à la fin.</p>".encode("latin-1"),
+]
+_MIXED_KINDS = ["html", "pdf", "pdf", "text", "empty", "error", "html"]
+
+
+@pytest.mark.parametrize("with_bad", [False, True])
+def test_mixed_kind_batch_matches_each_document_alone(with_bad):
+    """Every payload kind goes through ``extract_batch`` together: each
+    result, spans included, is what the document gives alone.  The UTF-7
+    page breaks the batch scoring pass, so the rest of its batch is scored
+    one document at a time: the same results again."""
+    docs = _MIXED[:3] + [_BAD_PAGE] * with_bad + _MIXED[3:]
+    langs = (["en", None, "fr"] * 3)[:len(docs)]
+    got = extract_batch(docs, langs, [None] * len(docs), ExtractConfig())
+    assert len(got) == len(docs)
+    kinds = [r.payload_kind for r in got]
+    assert kinds == _MIXED_KINDS[:3] + ["error"] * with_bad \
+        + _MIXED_KINDS[3:]
+    for r, payload, lang in zip(got, docs, langs):
+        assert _fields(r) == _fields(extract_one(payload, lang)), payload
+    assert got[-1].charset != "utf-8"
+
+
+@pytest.mark.parametrize("mode", [Mode.AUTO, Mode.TEXT_ONLY])
+def test_one_scoring_pass_per_stage_batch(monkeypatch, mode):
+    """The stage scores the paragraphs of its whole batch in one
+    ``score_documents`` call, whatever the payload kinds, also in
+    TEXT_ONLY mode, where every document is plain text."""
+    calls = []
+    real = html_extract.score_documents
+
+    def counting(docs):
+        calls.append(len(docs))
+        return real(docs)
+
+    # the batch pass and assemble's per-document fallback alike
+    monkeypatch.setattr(api, "score_documents", counting)
+    monkeypatch.setattr(html_extract, "score_documents", counting)
+    n = len(_MIXED)
+    texts = [f"corpus text {i}\n\nof row {i}" for i in range(n - 1)] + [""]
+    pages = pa.table({
+        "url": [f"u{i}" for i in range(n)],
+        "warc_ts": pa.array([0] * n, pa.timestamp("us", tz="UTC")),
+        "html": pa.array(_MIXED, pa.binary()),
+        "lang": ["en"] * n,
+        "text": texts})
+    out = HtmlExtractor(ExtractConfig(mode=mode))(pages)
+    assert out.num_rows == n
+    # one call over every document with paragraphs: the empty and NUL
+    # rows have none, and in TEXT_ONLY only the empty corpus text
+    assert calls == ([5] if mode == Mode.AUTO else [n - 1])
